@@ -1,5 +1,5 @@
 """Wall-clock benchmark of dense vs sparse attention (forward + backward)
-across sequence lengths, sparsity levels, and kernel backends.
+across sequence lengths and sparsity levels.
 
 Timings are measured honestly: warmup iterations excluded, min and median
 over repeats reported, plus a correctness column checking sparse == dense
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .attention import dense_attention, sparse_attention
+from .attention import default_k, dense_attention, sparse_attention
 from .tensor import Tensor, backward, tensor_sum
 
 
@@ -21,7 +20,6 @@ class BenchRow:
     length: int
     k: int | None                  # None = dense
     mode: str
-    backend: str
     median_s: float
     min_s: float
     equal_to_dense: bool | None    # only checked when k >= L
@@ -40,41 +38,33 @@ def _one_pass(q, k, v, k_sparse):
 
 
 def bench_attention(lengths, ks, d_k: int = 64, repeats: int = 5,
-                    warmup: int = 2, seed: int = 0, backends=None) -> list:
-    """ks entries are ints or the strings "L/4" / "L" (resolved per length)."""
-    if backends is None:
-        backends = kernels.available_backends()
-    saved = kernels.get_backend()
+                    warmup: int = 2, seed: int = 0) -> list:
+    """ks entries are ints or the strings "L/4" / "L" (resolved per length;
+    "L/4" is the model's default_k, ceil(L/4))."""
     rows = []
-    try:
-        for backend in backends:
-            kernels.set_backend(backend)
-            for length in lengths:
-                rng = np.random.default_rng(seed)
-                q = rng.standard_normal((length, d_k))
-                k = rng.standard_normal((length, d_k))
-                v = rng.standard_normal((length, d_k))
-                dense_out = _one_pass(q, k, v, None)
-                resolved = [None] + [_resolve_k(spec, length) for spec in ks]
-                for k_sparse in resolved:
-                    for _ in range(warmup):
-                        out = _one_pass(q, k, v, k_sparse)
-                    times = []
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        out = _one_pass(q, k, v, k_sparse)
-                        times.append(time.perf_counter() - t0)
-                    equal = None
-                    if k_sparse is not None and k_sparse >= length:
-                        equal = bool(np.max(np.abs(out - dense_out)) <= 1e-12)
-                    rows.append(BenchRow(
-                        length=length, k=k_sparse,
-                        mode="dense" if k_sparse is None else "sparse",
-                        backend=backend,
-                        median_s=float(np.median(times)), min_s=float(min(times)),
-                        equal_to_dense=equal))
-    finally:
-        kernels.set_backend(saved)
+    for length in lengths:
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((length, d_k))
+        k = rng.standard_normal((length, d_k))
+        v = rng.standard_normal((length, d_k))
+        dense_out = _one_pass(q, k, v, None)
+        resolved = [None] + [_resolve_k(spec, length) for spec in ks]
+        for k_sparse in resolved:
+            for _ in range(warmup):
+                out = _one_pass(q, k, v, k_sparse)
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                out = _one_pass(q, k, v, k_sparse)
+                times.append(time.perf_counter() - t0)
+            equal = None
+            if k_sparse is not None and k_sparse >= length:
+                equal = bool(np.max(np.abs(out - dense_out)) <= 1e-12)
+            rows.append(BenchRow(
+                length=length, k=k_sparse,
+                mode="dense" if k_sparse is None else "sparse",
+                median_s=float(np.median(times)), min_s=float(min(times)),
+                equal_to_dense=equal))
     return rows
 
 
@@ -85,14 +75,14 @@ def _resolve_k(spec, length: int) -> int:
     if text == "L":
         return length
     if text == "L/4":
-        return max(1, length // 4)
+        return default_k(length)
     return int(text)
 
 
 def rows_to_text(rows) -> str:
-    lines = ["length\tk\tmode\tbackend\tmedian_s\tmin_s\tequal_to_dense"]
+    lines = ["length\tk\tmode\tmedian_s\tmin_s\tequal_to_dense"]
     for r in rows:
         eq = "" if r.equal_to_dense is None else ("pass" if r.equal_to_dense else "FAIL")
         lines.append(f"{r.length}\t{'' if r.k is None else r.k}\t{r.mode}"
-                     f"\t{r.backend}\t{r.median_s:.6g}\t{r.min_s:.6g}\t{eq}")
+                     f"\t{r.median_s:.6g}\t{r.min_s:.6g}\t{eq}")
     return "\n".join(lines) + "\n"

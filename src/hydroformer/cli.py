@@ -1,7 +1,7 @@
 """Command-line front door: datagen | train | evaluate | predict | explain | bench.
 
 Config files are flat key = value text with dotted sections (model., train.,
-data., eval., shap.); unknown keys are rejected. Every run directory receives
+data., eval.); unknown keys are rejected. Every run directory receives
 the fully-resolved config for provenance.
 """
 
@@ -33,10 +33,6 @@ class RunConfig:
     data_path: str = ""
     leads: tuple = (1, 3, 5, 7)
     r2_mode: str = "paper"
-    shap_estimator: str = "sampled"
-    shap_permutations: int = 20
-    shap_exact_cap: int = explain_mod.EXACT_CAP_DEFAULT
-    shap_allow_large_exact: bool = False
     seed: int = 0
 
 
@@ -69,8 +65,6 @@ _KEY_PARSERS = {
     "train.min_delta": float, "train.shuffle_train": _parse_bool,
     "data.path": str, "data.lookback": int, "data.horizon": int,
     "eval.leads": _parse_leads, "eval.r2_mode": str,
-    "shap.estimator": str, "shap.permutations": int,
-    "shap.exact_cap": int, "shap.allow_large_exact": _parse_bool,
     "seed": int,
 }
 
@@ -116,14 +110,6 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
             cfg.leads = val
         elif key == "eval.r2_mode":
             cfg.r2_mode = val
-        elif key == "shap.estimator":
-            cfg.shap_estimator = val
-        elif key == "shap.permutations":
-            cfg.shap_permutations = val
-        elif key == "shap.exact_cap":
-            cfg.shap_exact_cap = val
-        elif key == "shap.allow_large_exact":
-            cfg.shap_allow_large_exact = val
         elif key == "seed":
             cfg.seed = val
     desk_defaults = {f.name: getattr(ModelConfig.desk_scale(), f.name)
@@ -137,8 +123,6 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
         cfg.train.seed = seed_override
     if cfg.r2_mode not in ("paper", "standard"):
         raise ConfigError(f"eval.r2_mode must be paper or standard, got {cfg.r2_mode!r}")
-    if cfg.shap_estimator not in ("exact", "sampled"):
-        raise ConfigError(f"shap.estimator must be exact or sampled, got {cfg.shap_estimator!r}")
     return cfg
 
 
@@ -159,10 +143,6 @@ def resolved_config_text(cfg: RunConfig) -> str:
     lines.append(f"data.path = {cfg.data_path}")
     lines.append(f"eval.leads = {','.join(str(x) for x in cfg.leads)}")
     lines.append(f"eval.r2_mode = {cfg.r2_mode}")
-    lines.append(f"shap.estimator = {cfg.shap_estimator}")
-    lines.append(f"shap.permutations = {cfg.shap_permutations}")
-    lines.append(f"shap.exact_cap = {cfg.shap_exact_cap}")
-    lines.append(f"shap.allow_large_exact = {cfg.shap_allow_large_exact}")
     lines.append(f"seed = {cfg.seed}")
     return "\n".join(lines) + "\n"
 
@@ -365,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large-exact", dest="allow_large_exact",
                    action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
 

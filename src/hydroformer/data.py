@@ -151,7 +151,8 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
+        return cls(mean=np.array(d["mean"], dtype=np.float64),
+                   std=np.array(d["std"], dtype=np.float64))
 
 
 @dataclass

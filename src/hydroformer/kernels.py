@@ -1,153 +1,37 @@
-"""Hot inner-loop kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection: numba is used when importable unless the environment
-variable HYDROFORMER_NO_NUMBA is set to a non-empty value. `set_backend`
-overrides the choice at runtime (the benchmark uses it to time both paths).
-"""
-
-import os
+"""Hot inner-loop kernels of attention, each one vectorised numpy function
+over the rows of a 2-D score matrix (float64, CPU)."""
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-
-def _pick_default() -> str:
-    if _HAVE_NUMBA and not os.environ.get("HYDROFORMER_NO_NUMBA"):
-        return "numba"
-    return "numpy"
-
-
-_backend = _pick_default()
-
-
-def available_backends():
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
 
 def get_backend() -> str:
-    return _backend
+    """Name of the kernel implementation, recorded in benchmark run records."""
+    return "numpy"
 
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in available_backends():
-        raise ValueError(f"unknown kernel backend {name!r}; available: {available_backends()}")
-    _backend = name
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def _softmax_fwd_np(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    neg = np.where(mask, scores, -np.inf)
-    mx = neg.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(scores - mx), 0.0)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _softmax_bwd_np(weights: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    dot = (weights * grad_out).sum(axis=1, keepdims=True)
-    return weights * (grad_out - dot)
-
-
-def _topk_keep_np(scores: np.ndarray, k: int, allowed: np.ndarray) -> np.ndarray:
-    m, _ = scores.shape
-    keep = np.zeros_like(allowed)
-    for i in range(m):
-        row = scores[i][allowed[i]]
-        kk = min(k, row.size)
-        thresh = np.sort(row)[row.size - kk]
-        keep[i] = allowed[i] & (scores[i] >= thresh)
-    return keep
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _softmax_fwd_nb(scores, mask):
-        m, n = scores.shape
-        out = np.zeros((m, n))
-        for i in range(m):
-            mx = -np.inf
-            for j in range(n):
-                if mask[i, j] and scores[i, j] > mx:
-                    mx = scores[i, j]
-            total = 0.0
-            for j in range(n):
-                if mask[i, j]:
-                    e = np.exp(scores[i, j] - mx)
-                    out[i, j] = e
-                    total += e
-            for j in range(n):
-                out[i, j] /= total
-        return out
-
-    @njit(cache=True)
-    def _softmax_bwd_nb(weights, grad_out):
-        m, n = weights.shape
-        out = np.zeros((m, n))
-        for i in range(m):
-            dot = 0.0
-            for j in range(n):
-                dot += weights[i, j] * grad_out[i, j]
-            for j in range(n):
-                out[i, j] = weights[i, j] * (grad_out[i, j] - dot)
-        return out
-
-    @njit(cache=True)
-    def _topk_keep_nb(scores, k, allowed):
-        m, n = scores.shape
-        keep = np.zeros((m, n), dtype=np.bool_)
-        for i in range(m):
-            count = 0
-            for j in range(n):
-                if allowed[i, j]:
-                    count += 1
-            row = np.empty(count)
-            idx = 0
-            for j in range(n):
-                if allowed[i, j]:
-                    row[idx] = scores[i, j]
-                    idx += 1
-            kk = min(k, count)
-            thresh = np.sort(row)[count - kk]
-            for j in range(n):
-                if allowed[i, j] and scores[i, j] >= thresh:
-                    keep[i, j] = True
-        return keep
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
 
 def masked_softmax_forward(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row softmax over unmasked entries; masked entries get weight exactly 0.
 
     Callers must guarantee every row has at least one unmasked entry.
     """
-    if _backend == "numba":
-        return _softmax_fwd_nb(scores, mask)
-    return _softmax_fwd_np(scores, mask)
+    neg = np.where(mask, scores, -np.inf)
+    mx = neg.max(axis=1, keepdims=True)
+    e = np.where(mask, np.exp(scores - mx), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def masked_softmax_backward(weights: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    if _backend == "numba":
-        return _softmax_bwd_nb(weights, grad_out)
-    return _softmax_bwd_np(weights, grad_out)
+    dot = (weights * grad_out).sum(axis=1, keepdims=True)
+    return weights * (grad_out - dot)
 
 
 def topk_keep(scores: np.ndarray, k: int, allowed: np.ndarray) -> np.ndarray:
     """Per-row boolean keep mask: allowed entries >= the k-th largest allowed
-    value of their row. Ties at the threshold are all kept."""
-    if _backend == "numba":
-        return _topk_keep_nb(scores, k, allowed)
-    return _topk_keep_np(scores, k, allowed)
+    value of their row. Ties at the threshold are all kept.
+
+    Forbidden entries sort first as -inf, so a row with fewer than k allowed
+    entries gets threshold -inf and keeps all of them.
+    """
+    n = scores.shape[1]
+    thresh = np.sort(np.where(allowed, scores, -np.inf), axis=1)[:, n - min(k, n)]
+    return allowed & (scores >= thresh[:, None])

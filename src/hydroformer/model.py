@@ -4,18 +4,17 @@ sinusoidal positional encoding, and a linear or tanh-sandwich output head."""
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .attention import AttentionConfig, MultiHeadParams, default_k, multi_head
+from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import (Tensor, activation, add, add_bias, layer_norm, matmul)
+from .tensor import ACTIVATIONS, Tensor, activation, add, add_bias, layer_norm, matmul
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 1
-
-TARGET_COLUMN = "ch_wl"
 
 
 @dataclass
@@ -46,6 +45,9 @@ class ModelConfig:
             raise ConfigError(f"attention_mode must be dense or sparse, got {self.attention_mode!r}")
         if self.output_head not in ("linear", "nonlinear"):
             raise ConfigError(f"output_head must be linear or nonlinear, got {self.output_head!r}")
+        if self.head_activation not in ACTIVATIONS:
+            raise ConfigError(f"head_activation must be one of {ACTIVATIONS}, "
+                              f"got {self.head_activation!r}")
         if self.k_sparse is not None and self.k_sparse < 1:
             raise ConfigError("k_sparse must be >= 1")
 
@@ -242,10 +244,9 @@ class TransformerModel:
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = np.asarray(window, dtype=np.float64)
-        target_idx = self._target_index()
         memory = self.encoder_forward(self.embed_encoder(window))
         memory = Tensor(memory.data)  # frozen: rollout never backpropagates
-        dec = [float(window[-1, target_idx])]
+        dec = [float(window[-1, TARGET_INDEX])]
         preds = []
         for t in range(horizon):
             emb = self.embed_decoder(np.array(dec, dtype=np.float64)[:, None])
@@ -253,11 +254,6 @@ class TransformerModel:
             preds.append(float(out.data[t, 0]))
             dec.append(preds[-1])
         return np.array(preds)[:, None]
-
-    def _target_index(self) -> int:
-        # fixed schema position of the target channel (see data.FEATURE_COLUMNS)
-        from .data import FEATURE_COLUMNS
-        return FEATURE_COLUMNS.index(TARGET_COLUMN)
 
     # -- state --------------------------------------------------------------
 
@@ -280,36 +276,73 @@ class TransformerModel:
 # manifest, version), then the raw little-endian float64 parameter buffers in
 # manifest order. Fully deterministic bytes for a given model state.
 
+def _manifest(model: TransformerModel) -> list:
+    return [{"name": n, "shape": list(model.params[n].data.shape)}
+            for n in sorted(model.params)]
+
+
 def save_checkpoint(model: TransformerModel, normalizer, path) -> None:
-    names = sorted(model.params)
     header = {
         "magic": CHECKPOINT_MAGIC,
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "normalizer": None if normalizer is None else normalizer.to_dict(),
-        "params": [{"name": n, "shape": list(model.params[n].data.shape)} for n in names],
+        "params": _manifest(model),
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        for n in names:
-            f.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
+        for entry in header["params"]:
+            f.write(np.ascontiguousarray(model.params[entry["name"]].data,
+                                         dtype="<f8").tobytes())
+
+
+def _config_from_header(config) -> ModelConfig:
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    if not isinstance(config, dict):
+        raise DataError("checkpoint config is not a mapping")
+    unknown, missing = sorted(set(config) - set(types)), sorted(set(types) - set(config))
+    if unknown or missing:
+        raise DataError(f"checkpoint config: unknown keys {unknown}, missing keys {missing}")
+    bad = sorted(n for n, v in config.items() if not isinstance(v, types[n]))
+    if bad:
+        raise DataError(f"checkpoint config: bad value types for {bad}")
+    try:
+        return ModelConfig(**config)
+    except ConfigError as e:
+        raise DataError(f"checkpoint config: {e}") from e
+
+
+def _normalizer_from_header(entry, n_features: int) -> Normalizer:
+    try:
+        norm = Normalizer.from_dict(entry)
+    except (TypeError, KeyError, ValueError) as e:
+        raise DataError(f"checkpoint normalizer is malformed: {e}") from e
+    if norm.mean.shape != (n_features,) or norm.std.shape != (n_features,):
+        raise DataError(f"checkpoint normalizer: mean/std shapes {norm.mean.shape}, "
+                        f"{norm.std.shape} do not match n_features {n_features}")
+    return norm
 
 
 def load_checkpoint(path):
-    """Returns (model, normalizer); normalizer may be None."""
-    from .data import Normalizer
+    """Returns (model, normalizer); normalizer may be None. A malformed file
+    raises DataError."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"not a checkpoint file: {path}") from e
-        if header.get("magic") != CHECKPOINT_MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
             raise DataError(f"not a checkpoint file: {path}")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
-        model = TransformerModel(ModelConfig(**header["config"]))
+        missing = [k for k in ("config", "normalizer", "params") if k not in header]
+        if missing:
+            raise DataError(f"checkpoint header lacks {missing}")
+        model = TransformerModel(_config_from_header(header["config"]))
+        if header["params"] != _manifest(model):
+            raise DataError("checkpoint parameter manifest does not match its config")
         state = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -318,10 +351,12 @@ def load_checkpoint(path):
             if len(buf) != n_bytes:
                 raise DataError("checkpoint truncated")
             state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise DataError("checkpoint has bytes after the last parameter buffer")
         model.load_state_arrays(state)
     norm = None
     if header["normalizer"] is not None:
-        norm = Normalizer.from_dict(header["normalizer"])
+        norm = _normalizer_from_header(header["normalizer"], model.config.n_features)
     return model, norm
 
 

@@ -1,7 +1,7 @@
 """Minimal dense tensors with reverse-mode automatic differentiation.
 
-Everything is float64 by default (float32 via set_default_dtype) and 2-D or
-smaller; just enough machinery to express the forecasting model and train it.
+Everything is float64 and 2-D or smaller; just enough machinery to express
+the forecasting model and train it.
 Every op validates that finite inputs produce finite outputs.
 """
 
@@ -10,22 +10,9 @@ import numpy as np
 from . import kernels
 from .errors import NumericError, ShapeError
 
-_DTYPE = np.float64
-
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "leaky_relu", "elu", "softplus")
 
 _LEAKY_SLOPE = 0.01
-
-
-def set_default_dtype(name: str) -> None:
-    global _DTYPE
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported dtype {name!r}")
-    _DTYPE = np.float64 if name == "float64" else np.float32
-
-
-def get_default_dtype():
-    return _DTYPE
 
 
 class Tensor:
@@ -38,7 +25,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(_parents)
@@ -74,8 +61,7 @@ class Tensor:
 
 
 def _check_finite(arr, opname):
-    # np.sum of anything containing NaN/Inf is non-finite; one cheap reduce
-    if not np.isfinite(np.sum(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{opname} produced non-finite values")
 
 

@@ -23,11 +23,26 @@ def ref_dense_attention(q, k, v):
     return ref_masked_softmax(p, mask) @ v
 
 
-def ref_topk_mask(p, kk):
+def ref_masked_softmax_backward(weights, grad_out):
+    out = np.zeros_like(weights)
+    for i in range(weights.shape[0]):
+        dot = sum(weights[i, j] * grad_out[i, j] for j in range(weights.shape[1]))
+        for j in range(weights.shape[1]):
+            out[i, j] = weights[i, j] * (grad_out[i, j] - dot)
+    return out
+
+
+def ref_topk_mask(p, kk, allowed=None):
+    """Per row, keep allowed entries >= the kk-th largest allowed value (all of
+    them when fewer than kk are allowed); ties at the threshold are kept."""
+    if allowed is None:
+        allowed = np.ones(p.shape, dtype=bool)
     keep = np.zeros(p.shape, dtype=bool)
     for i in range(p.shape[0]):
-        thresh = sorted(p[i], reverse=True)[min(kk, p.shape[1]) - 1]
-        keep[i] = p[i] >= thresh
+        vals = sorted((p[i, j] for j in range(p.shape[1]) if allowed[i, j]), reverse=True)
+        thresh = vals[min(kk, len(vals)) - 1]
+        for j in range(p.shape[1]):
+            keep[i, j] = allowed[i, j] and p[i, j] >= thresh
     return keep
 
 

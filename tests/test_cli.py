@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,30 @@ class TestTrainEvaluate:
         assert rc == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("corrupt, trailing", [
+    (lambda h: h["config"].update(dropout=0.1), b""),
+    (lambda h: h["config"].pop("d_ffn"), b""),
+    (lambda h: h["config"].update(attention_mode="banded"), b""),
+    (lambda h: h["config"].update(d_model="eight"), b""),
+    (lambda h: h.pop("config"), b""),
+    (lambda h: h.pop("params"), b""),
+    (lambda h: h.pop("normalizer"), b""),
+    (lambda h: None, b"\x00"),
+    (lambda h: h["normalizer"]["mean"].pop(), b""),
+], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
+        "bad_config_type", "missing_config", "missing_params", "missing_normalizer",
+        "trailing_bytes", "normalizer_length"])
+def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, trailing):
+    header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    corrupt(header)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body + trailing)
+    rc = cli.main(["predict", "--checkpoint", str(bad), "--data", str(trained_run["data"])])
+    assert rc == cli.EXIT_DATA
+    assert "checkpoint" in capsys.readouterr().err
+
+
 class TestExplainCommand:
     def test_global_importance_outputs(self, trained_run, tmp_path, capsys):
         out = tmp_path / "shap"
@@ -187,5 +213,12 @@ class TestBenchCommand:
                        "--repeats", "1", "--out", str(out)])
         assert rc == 0
         text = (out / "bench.txt").read_text()
-        assert text.splitlines()[0].startswith("length\t")
-        assert "numpy" in text
+        assert text.splitlines()[0] == "length\tk\tmode\tmedian_s\tmin_s\tequal_to_dense"
+
+    def test_quarter_length_k_is_ceiling(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        rc = cli.main(["bench", "--lengths", "30", "--ks", "L/4", "--d-k", "8",
+                       "--repeats", "1", "--out", str(out)])
+        assert rc == 0
+        rows = [ln.split("\t") for ln in (out / "bench.txt").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows if r[2] == "sparse"] == ["8"]

@@ -165,10 +165,8 @@ class TestOutputHead:
         assert np.allclose(out.data, 2.25, atol=1e-15)
 
     def test_unknown_activation_rejected_at_forward(self):
-        cfg = tiny_config(output_head="nonlinear", head_activation="swish")
-        model = TransformerModel(cfg, seed=9)
-        with pytest.raises(ValueError, match="unknown activation"):
-            model.output_head(Tensor(np.zeros((1, 8))))
+        with pytest.raises(ConfigError, match="head_activation"):
+            tiny_config(output_head="nonlinear", head_activation="swish")
 
 
 class TestForward:

@@ -237,6 +237,11 @@ class TestFiniteGuard:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             mul(big, big)
 
+    def test_finite_values_with_overflowing_sum_pass(self):
+        assert np.array_equal(scale(t([1e308, 1e308]), 1.0).data, [1e308, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            scale(t([1e308]), 10.0)
+
     def test_finite_inputs_never_produce_nan(self):
         rng = np.random.default_rng(9)
         x = t(rng.uniform(-2, 2, (3, 3)))
