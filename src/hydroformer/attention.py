@@ -1,34 +1,14 @@
 """Scaled dot-product attention, explicit top-k sparse attention, causal
-masking, and multi-head composition."""
+masking, and multi-head composition. One path serves every head count: head
+h's scores are row block h of one stacked (n_heads * Lq) x Lk matrix."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ShapeError
-from .tensor import Tensor, concat_cols, masked_softmax, matmul, scale, transpose
-
-
-@dataclass
-class AttentionConfig:
-    d_model: int
-    n_heads: int
-    k_sparse: int | None = None  # None = dense
-    causal: bool = False
-
-    def __post_init__(self):
-        if self.d_model <= 0 or self.n_heads <= 0:
-            raise ValueError("d_model and n_heads must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.k_sparse is not None and self.k_sparse < 1:
-            raise ValueError("k_sparse must be >= 1")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.n_heads
+from .tensor import Tensor, head_mix, head_scores, masked_softmax, matmul, scale
 
 
 def default_k(length: int) -> int:
@@ -36,12 +16,9 @@ def default_k(length: int) -> int:
     return max(1, math.ceil(length / 4))
 
 
-def attention_scores(q: Tensor, k: Tensor) -> Tensor:
-    """P = Q K^T / sqrt(d_k)."""
-    if q.data.shape[1] != k.data.shape[1]:
-        raise ShapeError(f"attention_scores: d_k mismatch {q.data.shape} vs {k.data.shape}")
-    d_k = q.data.shape[1]
-    return scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
+def attention_scores(q: Tensor, k: Tensor, n_heads: int = 1) -> Tensor:
+    """P = Q_h K_h^T / sqrt(d_head) per head, heads stacked as row blocks."""
+    return scale(head_scores(q, k, n_heads), 1.0 / math.sqrt(q.data.shape[1] // n_heads))
 
 
 def topk_mask(scores: np.ndarray, k: int, allowed: np.ndarray | None = None) -> np.ndarray:
@@ -74,21 +51,16 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=bool))
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, k_sparse: int | None, causal: bool) -> Tensor:
-    if k.data.shape[0] != v.data.shape[0]:
-        raise ShapeError(f"attention: K rows {k.data.shape[0]} != V rows {v.data.shape[0]}")
-    p = attention_scores(q, k)
-    l_q, l_k = p.data.shape
-    if causal:
-        if l_q != l_k:
-            raise ShapeError("causal attention requires square score matrix")
-        allowed = causal_mask(l_q)
+def _attend(q: Tensor, k: Tensor, v: Tensor, k_sparse: int | None, causal: bool,
+            n_heads: int = 1) -> Tensor:
+    p = attention_scores(q, k, n_heads)
+    if causal:   # a non-square causal mask fails masked_softmax's shape check
+        allowed = np.tile(causal_mask(q.data.shape[0]), (n_heads, 1))
     else:
-        allowed = np.ones((l_q, l_k), dtype=bool)
+        allowed = np.ones(p.data.shape, dtype=bool)
     if k_sparse is not None:
         allowed = topk_mask(p.data, k_sparse, allowed)
-    w = masked_softmax(p, allowed)
-    return matmul(w, v)
+    return head_mix(masked_softmax(p, allowed), v, n_heads)
 
 
 def dense_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
@@ -103,23 +75,10 @@ def sparse_attention(q: Tensor, k: Tensor, v: Tensor, k_sparse: int,
     return _attend(q, k, v, k_sparse, causal)
 
 
-@dataclass
-class MultiHeadParams:
-    """Per-head projections plus the output projection."""
-    wq: list
-    wk: list
-    wv: list
-    wo: Tensor
-
-
-def multi_head(q_in: Tensor, k_in: Tensor, v_in: Tensor, cfg: AttentionConfig,
-               params: MultiHeadParams) -> Tensor:
-    if q_in.data.shape[1] != cfg.d_model:
-        raise ShapeError(f"multi_head: input width {q_in.data.shape[1]} != d_model {cfg.d_model}")
-    heads = []
-    for i in range(cfg.n_heads):
-        heads.append(_attend(matmul(q_in, params.wq[i]),
-                             matmul(k_in, params.wk[i]),
-                             matmul(v_in, params.wv[i]),
-                             cfg.k_sparse, cfg.causal))
-    return matmul(concat_cols(heads), params.wo)
+def multi_head(q_in: Tensor, k_in: Tensor, v_in: Tensor, weights, n_heads: int,
+               k_sparse: int | None = None, causal: bool = False) -> Tensor:
+    """weights = (wq, wk, wv, wo), each d x d; head h projects with column
+    block h of wq, wk and wv. k_sparse None is dense attention."""
+    wq, wk, wv, wo = weights
+    return matmul(_attend(matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv),
+                          k_sparse, causal, n_heads), wo)

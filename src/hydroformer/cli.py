@@ -63,7 +63,7 @@ _KEY_PARSERS = {
     "train.batch_size": int, "train.learning_rate": float,
     "train.max_epochs": int, "train.early_stop_patience": int,
     "train.min_delta": float, "train.shuffle_train": _parse_bool,
-    "data.path": str, "data.lookback": int, "data.horizon": int,
+    "data.path": str,
     "eval.leads": _parse_leads, "eval.r2_mode": str,
     "seed": int,
 }
@@ -102,10 +102,6 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
             train_kwargs[name] = val
         elif key == "data.path":
             cfg.data_path = val
-        elif key == "data.lookback":
-            model_kwargs["lookback"] = val
-        elif key == "data.horizon":
-            model_kwargs["horizon"] = val
         elif key == "eval.leads":
             cfg.leads = val
         elif key == "eval.r2_mode":
@@ -187,10 +183,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    model, normalizer = load_checkpoint(args.checkpoint)
+def _load_for_data(path, action):
+    """A checkpoint whose model and normalizer fit the CSV schema."""
+    model, normalizer = load_checkpoint(path)
     if normalizer is None:
-        raise DataError("checkpoint carries no normalizer; cannot evaluate")
+        raise DataError(f"checkpoint carries no normalizer; cannot {action}")
+    if model.config.n_features != len(data_mod.FEATURE_COLUMNS):
+        raise DataError(f"checkpoint model takes {model.config.n_features} features, "
+                        f"the data files have {len(data_mod.FEATURE_COLUMNS)}; "
+                        f"cannot {action}")
+    return model, normalizer
+
+
+def cmd_evaluate(args) -> int:
+    model, normalizer = _load_for_data(args.checkpoint, "evaluate")
     series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
     dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
     dataset.normalizer = normalizer
@@ -209,9 +215,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, normalizer = load_checkpoint(args.checkpoint)
-    if normalizer is None:
-        raise DataError("checkpoint carries no normalizer; cannot predict")
+    model, normalizer = _load_for_data(args.checkpoint, "predict")
     series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
     lookback = model.config.lookback
     if series.values.shape[0] < lookback:
@@ -241,9 +245,7 @@ def _explain_instances(args, model, dataset):
 
 
 def cmd_explain(args) -> int:
-    model, normalizer = load_checkpoint(args.checkpoint)
-    if normalizer is None:
-        raise DataError("checkpoint carries no normalizer; cannot explain")
+    model, normalizer = _load_for_data(args.checkpoint, "explain")
     series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
     dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
     dataset.normalizer = normalizer
@@ -257,8 +259,7 @@ def cmd_explain(args) -> int:
         vf = explain_mod.model_value_function(model, normalizer, test.windows[i],
                                               lead=args.lead)
         if args.estimator == "exact":
-            e = explain_mod.exact_shapley(vf, cap=args.exact_cap,
-                                          allow_large=args.allow_large_exact)
+            e = explain_mod.exact_shapley(vf, allow_large=args.allow_large_exact)
         else:
             e = explain_mod.sampled_shapley(vf, m=args.permutations, seed=args.seed + i)
         explanations.append(e)
@@ -340,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lead", type=int, default=1)
     p.add_argument("--estimator", default="sampled", choices=["exact", "sampled"])
     p.add_argument("--permutations", type=int, default=20)
-    p.add_argument("--exact-cap", dest="exact_cap", type=int,
-                   default=explain_mod.EXACT_CAP_DEFAULT)
     p.add_argument("--allow-large-exact", dest="allow_large_exact",
                    action="store_true")
     p.add_argument("--seed", type=int, default=0)

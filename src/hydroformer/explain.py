@@ -14,7 +14,7 @@ import numpy as np
 from .data import FEATURE_COLUMNS, METEO_COLUMNS
 from .errors import ConfigError
 
-EXACT_CAP_DEFAULT = 12
+EXACT_CAP = 12
 
 
 @dataclass
@@ -24,6 +24,7 @@ class ValueFunction:
     predict: object               # callable: full feature matrix -> float
     instance: np.ndarray          # lookback x n_features (or 1 x n for flat models)
     baseline: np.ndarray          # n_features reference values
+    feature_names: tuple | None = None   # None -> f0 ... f{n-1}
 
     def __post_init__(self):
         self.instance = np.atleast_2d(np.asarray(self.instance, dtype=np.float64))
@@ -31,6 +32,11 @@ class ValueFunction:
         if self.baseline.shape != (self.instance.shape[1],):
             raise ValueError(f"baseline shape {self.baseline.shape} != "
                              f"({self.instance.shape[1]},) features")
+        if self.feature_names is None:
+            self.feature_names = tuple(f"f{i}" for i in range(self.n_features))
+        if len(self.feature_names) != self.n_features:
+            raise ValueError(f"{len(self.feature_names)} feature names for "
+                             f"{self.n_features} features")
 
     @property
     def n_features(self) -> int:
@@ -41,10 +47,10 @@ def coalition_value(vf: ValueFunction, subset) -> float:
     """Evaluate the model on a hybrid input: features in `subset` take the
     instance's values, the rest take baseline values (imputed across every
     time step of the window uniformly)."""
-    mask = np.zeros(vf.n_features, dtype=bool)
-    mask[list(subset)] = True
-    hybrid = np.where(mask, vf.instance, vf.baseline)
-    return float(vf.predict(hybrid))
+    members = {int(j) for j in subset}
+    if not members <= set(range(vf.n_features)):
+        raise ValueError(f"coalition {sorted(members)} outside features 0..{vf.n_features - 1}")
+    return _masked_value(vf, sum(1 << j for j in members), {})
 
 
 def _masked_value(vf, bitmask, cache):
@@ -68,14 +74,13 @@ class Explanation:
     feature_names: tuple = FEATURE_COLUMNS
 
 
-def exact_shapley(vf: ValueFunction, cap: int = EXACT_CAP_DEFAULT,
-                  allow_large: bool = False) -> Explanation:
+def exact_shapley(vf: ValueFunction, allow_large: bool = False) -> Explanation:
     """Exact Shapley values by full coalition enumeration (memoized, 2^n
     model evaluations). Guarded by a feature-count cap: n=19 costs ~5e5
     evaluations and is opt-in via allow_large."""
     n = vf.n_features
-    if n > cap and not allow_large:
-        raise ConfigError(f"exact enumeration over {n} features exceeds cap {cap}; "
+    if n > EXACT_CAP and not allow_large:
+        raise ConfigError(f"exact enumeration over {n} features exceeds cap {EXACT_CAP}; "
                           f"pass allow_large=True (or use sampled_shapley)")
     cache = {}
     full = (1 << n) - 1
@@ -95,8 +100,7 @@ def exact_shapley(vf: ValueFunction, cap: int = EXACT_CAP_DEFAULT,
             phis[i] += w * (_masked_value(vf, subset | bit, cache) - v_s)
     return Explanation(phi0=_masked_value(vf, 0, cache), phis=phis,
                        fx=_masked_value(vf, full, cache), estimator="exact",
-                       feature_names=tuple(f"f{i}" for i in range(n)) if n != 19
-                       else FEATURE_COLUMNS)
+                       feature_names=vf.feature_names)
 
 
 def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
@@ -124,8 +128,7 @@ def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
     return Explanation(phi0=_masked_value(vf, 0, cache), phis=phis,
                        fx=_masked_value(vf, (1 << n) - 1, cache),
                        estimator="sampled", n_permutations=m, std_errors=se,
-                       feature_names=tuple(f"f{i}" for i in range(n)) if n != 19
-                       else FEATURE_COLUMNS)
+                       feature_names=vf.feature_names)
 
 
 def model_value_function(model, normalizer, window_normalized: np.ndarray,
@@ -142,7 +145,8 @@ def model_value_function(model, normalizer, window_normalized: np.ndarray,
 
     return ValueFunction(predict=predict,
                          instance=np.asarray(window_normalized, dtype=np.float64),
-                         baseline=np.zeros(window_normalized.shape[1]))
+                         baseline=np.zeros(window_normalized.shape[1]),
+                         feature_names=FEATURE_COLUMNS)
 
 
 FEATURE_GROUPS = {

@@ -8,13 +8,13 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .attention import AttentionConfig, MultiHeadParams, default_k, multi_head
+from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import ACTIVATIONS, Tensor, activation, add, add_bias, layer_norm, matmul
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -109,12 +109,17 @@ class TransformerModel:
         self.params[name] = Tensor(arr, requires_grad=True)
 
     def _add_mha(self, prefix, rng):
-        c = self.config
-        for h in range(c.n_heads):
-            self._add(f"{prefix}.h{h}.wq", _glorot(rng, c.d_model, c.d_model // c.n_heads))
-            self._add(f"{prefix}.h{h}.wk", _glorot(rng, c.d_model, c.d_model // c.n_heads))
-            self._add(f"{prefix}.h{h}.wv", _glorot(rng, c.d_model, c.d_model // c.n_heads))
-        self._add(f"{prefix}.wo", _glorot(rng, c.d_model, c.d_model))
+        """Fused d x d Q/K/V with head h as column block h, drawn head by head,
+        q/k/v interleaved, each block Glorot with fan_out d_head."""
+        d, n_heads = self.config.d_model, self.config.n_heads
+        d_head = d // n_heads
+        fused = [np.empty((d, d)) for _ in range(3)]
+        for h in range(n_heads):
+            for w in fused:
+                w[:, h * d_head:(h + 1) * d_head] = _glorot(rng, d, d_head)
+        for name, w in zip(("wq", "wk", "wv"), fused):
+            self._add(f"{prefix}.{name}", w)
+        self._add(f"{prefix}.wo", _glorot(rng, d, d))
 
     def _add_ln(self, prefix):
         d = self.config.d_model
@@ -162,15 +167,6 @@ class TransformerModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def _mha_params(self, prefix) -> MultiHeadParams:
-        p = self.params
-        n = self.config.n_heads
-        return MultiHeadParams(
-            wq=[p[f"{prefix}.h{h}.wq"] for h in range(n)],
-            wk=[p[f"{prefix}.h{h}.wk"] for h in range(n)],
-            wv=[p[f"{prefix}.h{h}.wv"] for h in range(n)],
-            wo=p[f"{prefix}.wo"])
-
     def _ln(self, prefix, x):
         return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
 
@@ -179,10 +175,12 @@ class TransformerModel:
         h = activation(add_bias(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]), "relu")
         return add_bias(matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
 
-    def _attn_cfg(self, length, causal) -> AttentionConfig:
-        c = self.config
-        return AttentionConfig(d_model=c.d_model, n_heads=c.n_heads,
-                               k_sparse=c.effective_k(length), causal=causal)
+    def _mha(self, prefix, q_in, kv_in, causal=False):
+        """Self-attention passes one Tensor as q_in and kv_in: perfbench's
+        tracer tells self from cross attention by that identity."""
+        weights = tuple(self.params[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+        return multi_head(q_in, kv_in, kv_in, weights, self.config.n_heads,
+                          self.config.effective_k(kv_in.data.shape[0]), causal)
 
     def embed_encoder(self, window) -> Tensor:
         x = window if isinstance(window, Tensor) else Tensor(window)
@@ -199,26 +197,18 @@ class TransformerModel:
         return add(emb, Tensor(self.pe.slice(y.data.shape[0])))
 
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
-        cfg = self._attn_cfg(x_emb.data.shape[0], causal=False)
         x = x_emb
         for i in range(self.config.n_encoder_layers):
-            h = self._ln(f"enc.{i}.ln1",
-                         add(x, multi_head(x, x, x, cfg, self._mha_params(f"enc.{i}.attn"))))
+            h = self._ln(f"enc.{i}.ln1", add(x, self._mha(f"enc.{i}.attn", x, x)))
             x = self._ln(f"enc.{i}.ln2", add(h, self._ffn(f"enc.{i}.ffn", h)))
         return x
 
     def decoder_forward(self, y_emb: Tensor, memory: Tensor) -> Tensor:
-        h_len = y_emb.data.shape[0]
-        self_cfg = self._attn_cfg(h_len, causal=True)
-        cross_cfg = self._attn_cfg(memory.data.shape[0], causal=False)
         y = y_emb
         for i in range(self.config.n_decoder_layers):
             y = self._ln(f"dec.{i}.ln1",
-                         add(y, multi_head(y, y, y, self_cfg,
-                                           self._mha_params(f"dec.{i}.self_attn"))))
-            y = self._ln(f"dec.{i}.ln2",
-                         add(y, multi_head(y, memory, memory, cross_cfg,
-                                           self._mha_params(f"dec.{i}.cross_attn"))))
+                         add(y, self._mha(f"dec.{i}.self_attn", y, y, causal=True)))
+            y = self._ln(f"dec.{i}.ln2", add(y, self._mha(f"dec.{i}.cross_attn", y, memory)))
             y = self._ln(f"dec.{i}.ln3", add(y, self._ffn(f"dec.{i}.ffn", y)))
         return y
 

@@ -157,6 +157,50 @@ def concat_cols(parts) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=1), parts, bwd, "concat_cols")
 
 
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """rows x d -> n_heads x rows x d_head; head h is column block h."""
+    rows, d = x.shape
+    return x.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    n_heads, rows, d_head = x.shape
+    return x.transpose(1, 0, 2).reshape(rows, n_heads * d_head)
+
+
+def head_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
+    """Per-head Q_h K_h^T with head h the column block h of q and k, stacked
+    as row blocks: an (n_heads * Lq) x Lk matrix."""
+    if q.data.shape[1] != k.data.shape[1] or q.data.shape[1] % n_heads:
+        raise ShapeError(f"head_scores: shapes {q.data.shape}, {k.data.shape}, {n_heads} heads")
+    qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
+
+    def bwd(g):
+        gh = g.reshape(n_heads, -1, k.data.shape[0])
+        return (_merge_heads(np.matmul(gh, kh)),
+                _merge_heads(np.matmul(gh.transpose(0, 2, 1), qh)))
+
+    out = np.matmul(qh, kh.transpose(0, 2, 1)).reshape(-1, k.data.shape[0])
+    return _make(out, (q, k), bwd, "head_scores")
+
+
+def head_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Row block h of w ((n_heads * Lq) x Lk) times column block h of v
+    (Lk x d), the products placed side by side: an Lq x d matrix."""
+    if (w.data.shape[1] != v.data.shape[0] or w.data.shape[0] % n_heads
+            or v.data.shape[1] % n_heads):
+        raise ShapeError(f"head_mix: shapes {w.data.shape}, {v.data.shape}, {n_heads} heads")
+    wh = w.data.reshape(n_heads, -1, w.data.shape[1])
+    vh = _split_heads(v.data, n_heads)
+
+    def bwd(g):
+        gh = _split_heads(g, n_heads)
+        return (np.matmul(gh, vh.transpose(0, 2, 1)).reshape(w.data.shape),
+                _merge_heads(np.matmul(wh.transpose(0, 2, 1), gh)))
+
+    return _make(_merge_heads(np.matmul(wh, vh)), (w, v), bwd, "head_mix")
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     if kind == "tanh":
         y = np.tanh(x.data)

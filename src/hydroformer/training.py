@@ -163,9 +163,10 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
             raise NumericError(f"non-finite loss at epoch {epoch}: "
                                f"train={train_loss}, val={val_loss}")
         curve.epochs.append((train_loss, val_loss))
-        if val_loss < stopper.best - cfg.min_delta:
+        stop = stopper.update(epoch, val_loss)
+        if stopper.best_epoch == epoch:
             best_state = model.state_arrays()
-        if stopper.update(epoch, val_loss):
+        if stop:
             break
     curve.best_epoch = stopper.best_epoch
     model.load_state_arrays(best_state)

@@ -51,14 +51,18 @@ def ref_sparse_attention(q, k, v, kk):
     return ref_masked_softmax(p, ref_topk_mask(p, kk)) @ v
 
 
-def ref_multi_head(q_in, k_in, v_in, wq, wk, wv, wo, kk=None):
+def ref_multi_head(q_in, k_in, v_in, wq, wk, wv, wo, kk=None, causal=False):
+    """wq, wk, wv are lists of per-head d_model x d_head projections."""
     heads = []
     for i in range(len(wq)):
         q, k, v = q_in @ wq[i], k_in @ wk[i], v_in @ wv[i]
-        if kk is None:
-            heads.append(ref_dense_attention(q, k, v))
-        else:
-            heads.append(ref_sparse_attention(q, k, v, kk))
+        p = q @ k.T / np.sqrt(q.shape[1])
+        allowed = np.ones(p.shape, dtype=bool)
+        if causal:
+            allowed = np.tril(allowed)
+        if kk is not None:
+            allowed = ref_topk_mask(p, kk, allowed)
+        heads.append(ref_masked_softmax(p, allowed) @ v)
     return np.concatenate(heads, axis=1) @ wo
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hydroformer.attention import (AttentionConfig, MultiHeadParams, attention_scores,
-                                   causal_mask, default_k, dense_attention,
-                                   multi_head, sparse_attention, topk_mask)
+from hydroformer.attention import (attention_scores, causal_mask, default_k,
+                                   dense_attention, multi_head, sparse_attention,
+                                   topk_mask)
 from hydroformer.errors import ShapeError
 from hydroformer.gradcheck import grad_check
 from hydroformer.tensor import Tensor, backward, masked_softmax, tensor_sum
@@ -135,6 +135,11 @@ class TestDenseAttention:
         with pytest.raises(ShapeError):
             dense_attention(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros((5, 3))))
 
+    def test_causal_needs_square_scores(self):
+        with pytest.raises(ShapeError):
+            dense_attention(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros((4, 3))),
+                            causal=True)
+
     def test_kv_permutation_invariance(self):
         rng = np.random.default_rng(8)
         q, k, v = rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
@@ -197,68 +202,78 @@ class TestSparseAttention:
 
 
 class TestMultiHead:
-    def _params(self, rng, d_model, n_heads):
-        d_head = d_model // n_heads
-        wq = [t(rng.standard_normal((d_model, d_head))) for _ in range(n_heads)]
-        wk = [t(rng.standard_normal((d_model, d_head))) for _ in range(n_heads)]
-        wv = [t(rng.standard_normal((d_model, d_head))) for _ in range(n_heads)]
-        wo = t(rng.standard_normal((d_model, d_model)))
-        return MultiHeadParams(wq=wq, wk=wk, wv=wv, wo=wo)
+    def _params(self, rng, d_model):
+        return tuple(t(rng.standard_normal((d_model, d_model))) for _ in range(4))
 
     def test_single_head_identity_projection(self):
         rng = np.random.default_rng(15)
         d = 4
-        params = self._params(rng, d, 1)
-        params.wo = t(np.eye(d))
+        wq, wk, wv, _ = self._params(rng, d)
         x = rng.standard_normal((3, d))
-        cfg = AttentionConfig(d_model=d, n_heads=1)
-        out = multi_head(t(x), t(x), t(x), cfg, params)
-        single = dense_attention(Tensor(x @ params.wq[0].data),
-                                 Tensor(x @ params.wk[0].data),
-                                 Tensor(x @ params.wv[0].data))
+        out = multi_head(t(x), t(x), t(x), (wq, wk, wv, t(np.eye(d))), 1)
+        single = dense_attention(Tensor(x @ wq.data), Tensor(x @ wk.data),
+                                 Tensor(x @ wv.data))
         assert np.allclose(out.data, single.data, atol=1e-12)
 
     def test_sparse_k_geq_length_equals_dense(self):
         rng = np.random.default_rng(16)
         d = 6
-        params = self._params(rng, d, 2)
+        params = self._params(rng, d)
         x = rng.standard_normal((5, d))
-        dense = multi_head(t(x), t(x), t(x), AttentionConfig(d, 2), params)
-        sparse = multi_head(t(x), t(x), t(x), AttentionConfig(d, 2, k_sparse=5), params)
+        dense = multi_head(t(x), t(x), t(x), params, 2)
+        sparse = multi_head(t(x), t(x), t(x), params, 2, k_sparse=5)
         assert np.array_equal(dense.data, sparse.data)
 
     def test_two_head_reference(self):
         rng = np.random.default_rng(17)
         d = 8
-        params = self._params(rng, d, 2)
+        params = self._params(rng, d)
         x = rng.standard_normal((4, d))
-        out = multi_head(t(x), t(x), t(x), AttentionConfig(d, 2), params)
-        ref = ref_multi_head(x, x, x,
-                             [w.data for w in params.wq], [w.data for w in params.wk],
-                             [w.data for w in params.wv], params.wo.data)
+        out = multi_head(t(x), t(x), t(x), params, 2)
+        wq, wk, wv = (np.hsplit(w.data, 2) for w in params[:3])
+        ref = ref_multi_head(x, x, x, wq, wk, wv, params[3].data)
         assert np.allclose(out.data, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["dense", "sparse", "causal", "causal_sparse"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_matches_per_head_oracle(self, n_heads, mode):
+        rng = np.random.default_rng(20 + n_heads)
+        d = 8
+        params = self._params(rng, d)
+        causal = mode.startswith("causal")
+        k_sparse = 2 if mode.endswith("sparse") else None
+        q_in = rng.standard_normal((6 if causal else 5, d))
+        kv_in = q_in if causal else rng.standard_normal((7, d))
+        out = multi_head(t(q_in), t(kv_in), t(kv_in), params, n_heads,
+                         k_sparse=k_sparse, causal=causal)
+        wq, wk, wv = (np.hsplit(w.data, n_heads) for w in params[:3])
+        ref = ref_multi_head(q_in, kv_in, kv_in, wq, wk, wv, params[3].data,
+                             kk=k_sparse, causal=causal)
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
 
     def test_causal_future_invariance(self):
         rng = np.random.default_rng(18)
         d = 4
-        params = self._params(rng, d, 1)
+        params = self._params(rng, d)
         x = rng.standard_normal((5, d))
-        cfg = AttentionConfig(d, 1, causal=True)
-        base = multi_head(t(x), t(x), t(x), cfg, params).data
+        base = multi_head(t(x), t(x), t(x), params, 2, causal=True).data
         bumped = x.copy()
         bumped[3:] += rng.standard_normal((2, d))
-        out = multi_head(t(bumped), t(bumped), t(bumped), cfg, params).data
+        out = multi_head(t(bumped), t(bumped), t(bumped), params, 2, causal=True).data
         assert np.array_equal(base[:3], out[:3])
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(19)
-        params = self._params(rng, 4, 1)
+        params = self._params(rng, 4)
         with pytest.raises(ShapeError):
             multi_head(t(np.zeros((3, 6))), t(np.zeros((3, 6))), t(np.zeros((3, 6))),
-                       AttentionConfig(4, 1), params)
+                       params, 1)
 
     def test_bad_config(self):
+        rng = np.random.default_rng(19)
+        x = t(np.zeros((3, 6)))
         with pytest.raises(ValueError):
-            AttentionConfig(d_model=6, n_heads=4)
+            multi_head(x, x, x, self._params(rng, 6), 4)
+        x = t(np.zeros((3, 4)))
         with pytest.raises(ValueError):
-            AttentionConfig(d_model=4, n_heads=2, k_sparse=0)
+            multi_head(x, x, x, self._params(rng, 4), 2, k_sparse=0)

@@ -6,6 +6,7 @@ import pytest
 from hydroformer import cli
 from hydroformer import data as D
 from hydroformer.errors import ConfigError
+from hydroformer.model import ModelConfig, TransformerModel, save_checkpoint
 
 
 TINY_CONFIG = """
@@ -62,12 +63,17 @@ class TestConfigParsing:
     def test_build_run_config_sections(self):
         cfg = cli.build_run_config(cli.parse_config_text(
             "model.d_model = 16\nmodel.n_heads = 2\ntrain.batch_size = 8\n"
-            "data.lookback = 9\neval.r2_mode = standard\nseed = 11"))
+            "model.lookback = 9\neval.r2_mode = standard\nseed = 11"))
         assert cfg.model.d_model == 16
         assert cfg.model.lookback == 9
         assert cfg.train.batch_size == 8
         assert cfg.train.seed == 11
         assert cfg.r2_mode == "standard"
+
+    @pytest.mark.parametrize("line", ["data.lookback = 9", "data.horizon = 3"])
+    def test_data_section_model_aliases_rejected(self, line):
+        with pytest.raises(ConfigError, match="unknown key"):
+            cli.parse_config_text(line)
 
     def test_bad_r2_mode(self):
         with pytest.raises(ConfigError):
@@ -155,9 +161,10 @@ class TestTrainEvaluate:
     (lambda h: h.pop("normalizer"), b""),
     (lambda h: None, b"\x00"),
     (lambda h: h["normalizer"]["mean"].pop(), b""),
+    (lambda h: h.update(format_version=1), b""),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "missing_config", "missing_params", "missing_normalizer",
-        "trailing_bytes", "normalizer_length"])
+        "trailing_bytes", "normalizer_length", "v1_header"])
 def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, trailing):
     header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
     header = json.loads(header_line)
@@ -167,6 +174,23 @@ def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corru
     rc = cli.main(["predict", "--checkpoint", str(bad), "--data", str(trained_run["data"])])
     assert rc == cli.EXIT_DATA
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("predict", []),
+    ("evaluate", ["--out", "OUT"]),
+    ("explain", ["--global", "--sample", "1", "--permutations", "2", "--out", "OUT"]),
+], ids=["predict", "evaluate", "explain"])
+def test_checkpoint_with_other_feature_count_is_data_error(trained_run, tmp_path, capsys,
+                                                          command, extra):
+    cfg = ModelConfig(d_model=8, n_heads=1, d_ffn=16, lookback=4, horizon=2, n_features=5)
+    ckpt = tmp_path / "five.bin"
+    save_checkpoint(TransformerModel(cfg, seed=0),
+                    D.Normalizer(mean=np.zeros(5), std=np.ones(5)), ckpt)
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(trained_run["data"])]
+    argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "5 features" in capsys.readouterr().err
 
 
 class TestExplainCommand:
@@ -197,6 +221,14 @@ class TestExplainCommand:
         text = (out / "force_report.txt").read_text()
         assert text.startswith("base_value\t")
         assert len(text.splitlines()) == 4 + 19
+
+    def test_exact_cap_option_removed(self, trained_run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                      "--data", str(trained_run["data"]), "--global",
+                      "--estimator", "exact", "--exact-cap", "20",
+                      "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
     def test_unknown_instance_date_is_data_error(self, trained_run, tmp_path, capsys):
         rc = cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),

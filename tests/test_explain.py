@@ -140,6 +140,26 @@ class TestSampled:
         assert np.max(e.std_errors) < 1e-12
 
 
+def test_coalition_value_rejects_unknown_features():
+    vf = linear_vf([1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
+    assert X.coalition_value(vf, [1]) == 2.0
+    for subset in ([2], [-1]):
+        with pytest.raises(ValueError):
+            X.coalition_value(vf, subset)
+
+
+def test_non_model_value_function_has_generic_names():
+    n = 19
+    vf = X.ValueFunction(predict=lambda row: float(row.sum()),
+                         instance=np.ones((1, n)), baseline=np.zeros(n))
+    e = X.sampled_shapley(vf, m=2)
+    assert e.feature_names == tuple(f"f{i}" for i in range(n))
+    assert X.global_importance([e]).group_shares == {}
+    with pytest.raises(ValueError):
+        X.ValueFunction(predict=vf.predict, instance=np.ones((1, 2)),
+                        baseline=np.zeros(2), feature_names=("a",))
+
+
 class TestModelValueFunction:
     def _tiny(self):
         from hydroformer import data as D
@@ -163,6 +183,11 @@ class TestModelValueFunction:
         model, ds = self._tiny()
         vf = X.model_value_function(model, ds.normalizer, ds.split("val").windows[0])
         assert np.array_equal(vf.baseline, np.zeros(19))
+
+    def test_names_are_csv_columns(self):
+        model, ds = self._tiny()
+        vf = X.model_value_function(model, ds.normalizer, ds.split("val").windows[0])
+        assert X.sampled_shapley(vf, m=2).feature_names == FEATURE_COLUMNS
 
     def test_lead_guard(self):
         model, ds = self._tiny()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hydroformer import data as D
-from hydroformer.attention import AttentionConfig, dense_attention, multi_head
+from hydroformer.attention import dense_attention, multi_head
 from hydroformer.errors import ConfigError, DataError, ShapeError
 from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
                                checkpoint_digest, load_checkpoint, save_checkpoint)
@@ -105,8 +105,8 @@ class TestEncoder:
         out = model.encoder_forward(x_emb)
 
         p = model.params
-        attn = multi_head(x_emb, x_emb, x_emb, AttentionConfig(8, 1),
-                          model._mha_params("enc.0.attn"))
+        weights = tuple(p[f"enc.0.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+        attn = multi_head(x_emb, x_emb, x_emb, weights, 1)
         h = layer_norm(add(x_emb, attn), p["enc.0.ln1.gamma"], p["enc.0.ln1.beta"])
         ffn = model._ffn("enc.0.ffn", h)
         expect = layer_norm(add(h, ffn), p["enc.0.ln2.gamma"], p["enc.0.ln2.beta"])
@@ -245,6 +245,24 @@ class TestParameters:
         lin_shapes = {n: t.data.shape for n, t in lin.params.items() if not n.startswith("head.")}
         non_shapes = {n: t.data.shape for n, t in non.params.items() if not n.startswith("head.")}
         assert lin_shapes == non_shapes
+
+    def test_fused_blocks_follow_per_head_draw_order(self):
+        cfg = ModelConfig.desk_scale(n_heads=4)
+        model = TransformerModel(cfg, seed=21)
+        d, d_head = cfg.d_model, cfg.d_model // cfg.n_heads
+        rng = np.random.default_rng(21)
+
+        def glorot(fan_in, fan_out):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+        glorot(cfg.n_features, d)   # enc_embed.w
+        glorot(1, d)                # dec_embed.w
+        for h in range(cfg.n_heads):
+            for w in ("wq", "wk", "wv"):
+                block = model.params[f"enc.0.attn.{w}"].data[:, h * d_head:(h + 1) * d_head]
+                assert np.array_equal(block, glorot(d, d_head))
+        assert np.array_equal(model.params["enc.0.attn.wo"].data, glorot(d, d))
 
     def test_load_state_shape_guard(self):
         model = TransformerModel(tiny_config(), seed=18)

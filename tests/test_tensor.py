@@ -6,8 +6,9 @@ import pytest
 from hydroformer.errors import NumericError, ShapeError
 from hydroformer.gradcheck import grad_check
 from hydroformer.tensor import (Tensor, activation, add, add_bias, backward,
-                                concat_cols, layer_norm, masked_softmax, matmul,
-                                mse, mul, scale, sub, tensor_sum, transpose)
+                                concat_cols, head_mix, head_scores, layer_norm,
+                                masked_softmax, matmul, mse, mul, scale, sub,
+                                tensor_sum, transpose)
 
 from _oracles import ref_masked_softmax
 
@@ -271,6 +272,34 @@ class TestMisc:
         coef = rng.uniform(-1, 1, (3, 5))
         fn = lambda ts: tensor_sum(mul(concat_cols([ts[0], ts[1]]), Tensor(coef)))
         assert grad_check(fn, [a, b]).ok(1e-4)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_head_scores_blocks_and_grad(self, n_heads):
+        rng = np.random.default_rng(14 + n_heads)
+        q, k = rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (4, 6))
+        blocks = zip(np.hsplit(q, n_heads), np.hsplit(k, n_heads))
+        expect = np.vstack([qh @ kh.T for qh, kh in blocks])
+        assert np.allclose(head_scores(t(q), t(k), n_heads).data, expect, atol=1e-15)
+        coef = rng.uniform(-1, 1, (n_heads * 3, 4))
+        fn = lambda ts: tensor_sum(mul(head_scores(ts[0], ts[1], n_heads), Tensor(coef)))
+        assert grad_check(fn, [q, k]).ok(1e-4)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_head_mix_blocks_and_grad(self, n_heads):
+        rng = np.random.default_rng(17 + n_heads)
+        w, v = rng.uniform(-1, 1, (n_heads * 3, 4)), rng.uniform(-1, 1, (4, 6))
+        blocks = zip(np.vsplit(w, n_heads), np.hsplit(v, n_heads))
+        expect = np.hstack([wh @ vh for wh, vh in blocks])
+        assert np.allclose(head_mix(t(w), t(v), n_heads).data, expect, atol=1e-15)
+        coef = rng.uniform(-1, 1, (3, 6))
+        fn = lambda ts: tensor_sum(mul(head_mix(ts[0], ts[1], n_heads), Tensor(coef)))
+        assert grad_check(fn, [w, v]).ok(1e-4)
+
+    def test_head_ops_reject_indivisible_widths(self):
+        with pytest.raises(ShapeError):
+            head_scores(t(np.zeros((2, 6))), t(np.zeros((3, 6))), 4)
+        with pytest.raises(ShapeError):
+            head_mix(t(np.zeros((4, 3))), t(np.zeros((3, 6))), 4)
 
     def test_tanh_chain_depth_three(self):
         rng = np.random.default_rng(13)
