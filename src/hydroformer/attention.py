@@ -1,6 +1,8 @@
 """Scaled dot-product attention, explicit top-k sparse attention, causal
-masking, and multi-head composition. One path serves every head count: head
-h's scores are row block h of one stacked (n_heads * Lq) x Lk matrix."""
+masking, and multi-head composition. One path serves every head count and
+batch size: head h's scores are row block h of one stacked (n_heads * Lq) x Lk
+matrix per batch item, and masks of that matrix's shape are shared by every
+item of a batch."""
 
 import math
 
@@ -18,28 +20,33 @@ def default_k(length: int) -> int:
 
 def attention_scores(q: Tensor, k: Tensor, n_heads: int = 1) -> Tensor:
     """P = Q_h K_h^T / sqrt(d_head) per head, heads stacked as row blocks."""
-    return scale(head_scores(q, k, n_heads), 1.0 / math.sqrt(q.data.shape[1] // n_heads))
+    return scale(head_scores(q, k, n_heads), 1.0 / math.sqrt(q.data.shape[-1] // n_heads))
 
 
 def topk_mask(scores: np.ndarray, k: int, allowed: np.ndarray | None = None) -> np.ndarray:
-    """Boolean keep mask: per row, entries >= the k-th largest value survive.
+    """Boolean keep mask of the scores' shape: per row (last axis), entries
+    >= the k-th largest value survive. Scores are one matrix or a batch of
+    matrices stacked on leading axes.
 
     Ties at the threshold are all kept, so a row may keep more than k entries.
     When `allowed` is given the threshold is computed among allowed entries
-    only and forbidden entries are never kept.
+    only and forbidden entries are never kept. `allowed` has the scores'
+    shape, or the shape of their last two axes to be shared by every batch
+    item.
     """
     if k < 1:
         raise ValueError(f"topk_mask: k must be >= 1, got {k}")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] == 0:
-        raise ShapeError(f"topk_mask: need non-empty 2-D scores, got {scores.shape}")
+    if scores.ndim < 2 or scores.shape[-1] == 0:
+        raise ShapeError(f"topk_mask: need scores with at least 2 axes and non-empty "
+                         f"rows, got {scores.shape}")
     if allowed is None:
-        allowed = np.ones(scores.shape, dtype=bool)
+        allowed = np.ones(scores.shape[-2:], dtype=bool)
     else:
         allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != scores.shape:
+        if allowed.shape not in (scores.shape, scores.shape[-2:]):
             raise ShapeError("topk_mask: allowed mask shape mismatch")
-        if not allowed.any(axis=1).all():
+        if not allowed.any(axis=-1).all():
             raise ValueError("topk_mask: a row has no allowed entries")
     return kernels.topk_keep(scores, k, allowed)
 
@@ -54,10 +61,12 @@ def causal_mask(length: int) -> np.ndarray:
 def _attend(q: Tensor, k: Tensor, v: Tensor, k_sparse: int | None, causal: bool,
             n_heads: int = 1) -> Tensor:
     p = attention_scores(q, k, n_heads)
-    if causal:   # a non-square causal mask fails masked_softmax's shape check
-        allowed = np.tile(causal_mask(q.data.shape[0]), (n_heads, 1))
+    # one (n_heads * Lq) x Lk mask serves every batch item; a non-square
+    # causal mask fails the shape checks of topk_mask and masked_softmax
+    if causal:
+        allowed = np.tile(causal_mask(q.data.shape[-2]), (n_heads, 1))
     else:
-        allowed = np.ones(p.data.shape, dtype=bool)
+        allowed = np.ones(p.data.shape[-2:], dtype=bool)
     if k_sparse is not None:
         allowed = topk_mask(p.data, k_sparse, allowed)
     return head_mix(masked_softmax(p, allowed), v, n_heads)

@@ -11,7 +11,8 @@ import numpy as np
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import ACTIVATIONS, Tensor, activation, add, add_bias, layer_norm, matmul
+from .tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, layer_norm, matmul,
+                     no_grad)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -86,6 +87,8 @@ class PositionalEncoding:
 
 
 def _glorot(rng, fan_in, fan_out):
+    if rng is None:
+        return np.zeros((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -94,14 +97,18 @@ class TransformerModel:
     """Parameter container plus the forward / autoregressive-predict paths.
 
     Parameters live in an ordered name->Tensor map; shapes are a pure
-    function of the config.
+    function of the config. Seed None leaves every parameter zero with no
+    RNG draw, for callers that overwrite them all (load_checkpoint).
+
+    The forward pieces take one sample (L x n_features window, H x 1 decoder
+    input) or a batch of them stacked on a leading axis.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.pe = PositionalEncoding(max(config.lookback, config.horizon), config.d_model)
-        self._init_params(np.random.default_rng(seed))
+        self._init_params(None if seed is None else np.random.default_rng(seed))
 
     # -- construction -------------------------------------------------------
 
@@ -113,8 +120,8 @@ class TransformerModel:
         q/k/v interleaved, each block Glorot with fan_out d_head."""
         d, n_heads = self.config.d_model, self.config.n_heads
         d_head = d // n_heads
-        fused = [np.empty((d, d)) for _ in range(3)]
-        for h in range(n_heads):
+        fused = [np.zeros((d, d)) for _ in range(3)]
+        for h in range(n_heads if rng is not None else 0):   # no draw: all zero
             for w in fused:
                 w[:, h * d_head:(h + 1) * d_head] = _glorot(rng, d, d_head)
         for name, w in zip(("wq", "wk", "wv"), fused):
@@ -180,21 +187,25 @@ class TransformerModel:
         tracer tells self from cross attention by that identity."""
         weights = tuple(self.params[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
         return multi_head(q_in, kv_in, kv_in, weights, self.config.n_heads,
-                          self.config.effective_k(kv_in.data.shape[0]), causal)
+                          self.config.effective_k(kv_in.data.shape[-2]), causal)
+
+    def _embed(self, x: Tensor, name: str) -> Tensor:
+        """x @ W plus the positional table, which broadcasts over a batch."""
+        emb = matmul(x, self.params[name])
+        return add_bias(emb, Tensor(self.pe.slice(x.data.shape[-2])))
 
     def embed_encoder(self, window) -> Tensor:
         x = window if isinstance(window, Tensor) else Tensor(window)
-        if x.data.shape[1] != self.config.n_features:
-            raise ShapeError(f"window width {x.data.shape[1]} != n_features {self.config.n_features}")
-        emb = matmul(x, self.params["enc_embed.w"])
-        return add(emb, Tensor(self.pe.slice(x.data.shape[0])))
+        if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_features:
+            raise ShapeError(f"window shape {x.data.shape}: need L x n_features "
+                             f"(n_features {self.config.n_features}), optionally batched")
+        return self._embed(x, "enc_embed.w")
 
     def embed_decoder(self, decoder_in) -> Tensor:
         y = decoder_in if isinstance(decoder_in, Tensor) else Tensor(decoder_in)
-        if y.data.ndim != 2 or y.data.shape[1] != 1:
-            raise ShapeError(f"decoder input must be Hx1, got {y.data.shape}")
-        emb = matmul(y, self.params["dec_embed.w"])
-        return add(emb, Tensor(self.pe.slice(y.data.shape[0])))
+        if y.data.ndim not in (2, 3) or y.data.shape[-1] != 1:
+            raise ShapeError(f"decoder input must be Hx1 or BxHx1, got {y.data.shape}")
+        return self._embed(y, "dec_embed.w")
 
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
         x = x_emb
@@ -222,7 +233,8 @@ class TransformerModel:
 
     def forward(self, window, decoder_in) -> Tensor:
         """Teacher-forced forward: window is lookback x n_features, decoder_in
-        is H x 1 target-channel values; returns H x 1 predictions."""
+        is H x 1 target-channel values; returns H x 1 predictions. With a
+        leading batch axis on both inputs, returns B x H x 1."""
         memory = self.encoder_forward(self.embed_encoder(window))
         dec = self.decoder_forward(self.embed_decoder(decoder_in), memory)
         return self.output_head(dec)
@@ -230,19 +242,20 @@ class TransformerModel:
     def predict(self, window, horizon: int) -> np.ndarray:
         """Greedy autoregressive rollout in normalized space. The start token
         is the last observed target value in the window; each prediction is
-        fed back as the next decoder input. Returns an (horizon, 1) array."""
+        fed back as the next decoder input. Returns an (horizon, 1) array.
+        Records no tape."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = np.asarray(window, dtype=np.float64)
-        memory = self.encoder_forward(self.embed_encoder(window))
-        memory = Tensor(memory.data)  # frozen: rollout never backpropagates
-        dec = [float(window[-1, TARGET_INDEX])]
-        preds = []
-        for t in range(horizon):
-            emb = self.embed_decoder(np.array(dec, dtype=np.float64)[:, None])
-            out = self.output_head(self.decoder_forward(emb, memory))
-            preds.append(float(out.data[t, 0]))
-            dec.append(preds[-1])
+        with no_grad():
+            memory = self.encoder_forward(self.embed_encoder(window))
+            dec = [float(window[-1, TARGET_INDEX])]
+            preds = []
+            for t in range(horizon):
+                emb = self.embed_decoder(np.array(dec, dtype=np.float64)[:, None])
+                out = self.output_head(self.decoder_forward(emb, memory))
+                preds.append(float(out.data[t, 0]))
+                dec.append(preds[-1])
         return np.array(preds)[:, None]
 
     # -- state --------------------------------------------------------------
@@ -330,7 +343,7 @@ def load_checkpoint(path):
         missing = [k for k in ("config", "normalizer", "params") if k not in header]
         if missing:
             raise DataError(f"checkpoint header lacks {missing}")
-        model = TransformerModel(_config_from_header(header["config"]))
+        model = TransformerModel(_config_from_header(header["config"]), seed=None)
         if header["params"] != _manifest(model):
             raise DataError("checkpoint parameter manifest does not match its config")
         state = {}

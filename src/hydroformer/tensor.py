@@ -1,9 +1,16 @@
 """Minimal dense tensors with reverse-mode automatic differentiation.
 
-Everything is float64 and 2-D or smaller; just enough machinery to express
-the forecasting model and train it.
-Every op validates that finite inputs produce finite outputs.
+Everything is float64. Matrix-shaped ops take rows on the second-to-last
+axis and features on the last; any leading axes are a batch, so one sample
+(L x d) and a stack of samples (B x L x d) run the same code. Every op
+validates that finite inputs produce finite outputs.
+
+`backward` frees the graph as it sweeps it: only leaves (tensors no op made)
+keep a `.grad`, and every op node drops its parents and backward closure
+once used. Inside `no_grad()` ops record nothing at all.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,8 +25,9 @@ _LEAKY_SLOPE = 0.01
 class Tensor:
     """A numpy array plus an optional gradient and a backward closure.
 
-    Data is immutable by convention after construction; only .grad mutates
-    (accumulation during backward, reset via zero_grad).
+    Data is immutable by convention after construction. .grad mutates on
+    leaves (accumulation during backward, reset via zero_grad); backward
+    clears an op node's parents and closure once it has used them.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
@@ -65,8 +73,26 @@ def _check_finite(arr, opname):
         raise NumericError(f"{opname} produced non-finite values")
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Scope in which ops record no parents and no backward closure; the
+    previous state is restored on exit, also when the body raises. The
+    state is process-wide: the package runs in one thread."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn, opname):
     _check_finite(data, opname)
+    if not _grad_enabled:
+        return Tensor(data)
     rg = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=rg, _parents=parents,
                   _backward_fn=backward_fn if rg else None)
@@ -76,12 +102,15 @@ def _make(data, parents, backward_fn, opname):
 # ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """(..., m, k) @ (k, n): the rows of every batch item in one GEMM."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
+    a2 = a.data.reshape(-1, b.data.shape[0])
+    out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        g2 = g.reshape(a2.shape[0], -1)
+        return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
 
     return _make(out, (a, b), bwd, "matmul")
 
@@ -133,12 +162,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Broadcast a length-n bias row over the m rows of an m-by-n matrix."""
-    if x.data.ndim != 2 or b.data.shape != (x.data.shape[1],):
+    """Broadcast b over the leading axes of x: a length-n bias row over the
+    rows of (..., m, n), or an m x n table over the batch of (..., m, n)."""
+    if x.data.ndim < 2 or x.data.shape[x.data.ndim - b.data.ndim:] != b.data.shape:
         raise ShapeError(f"add_bias: {x.data.shape} + bias {b.data.shape}")
 
     def bwd(g):
-        return g, g.sum(axis=0)
+        return g, g.reshape((-1,) + b.data.shape).sum(axis=0)
 
     return _make(x.data + b.data, (x, b), bwd, "add_bias")
 
@@ -158,45 +188,52 @@ def concat_cols(parts) -> Tensor:
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """rows x d -> n_heads x rows x d_head; head h is column block h."""
-    rows, d = x.shape
-    return x.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2)
+    """... x rows x d -> ... x n_heads x rows x d_head; head h is column block h."""
+    *lead, rows, d = x.shape
+    return x.reshape(*lead, rows, n_heads, d // n_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    n_heads, rows, d_head = x.shape
-    return x.transpose(1, 0, 2).reshape(rows, n_heads * d_head)
+    *lead, n_heads, rows, d_head = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, rows, n_heads * d_head)
+
+
+def _same_batch(a: np.ndarray, b: np.ndarray) -> bool:
+    """Both at least 2-D with equal leading (batch) axes."""
+    return a.ndim >= 2 and b.ndim == a.ndim and a.shape[:-2] == b.shape[:-2]
 
 
 def head_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
     """Per-head Q_h K_h^T with head h the column block h of q and k, stacked
-    as row blocks: an (n_heads * Lq) x Lk matrix."""
-    if q.data.shape[1] != k.data.shape[1] or q.data.shape[1] % n_heads:
+    as row blocks: (..., n_heads * Lq, Lk) for q (..., Lq, d), k (..., Lk, d)."""
+    if (not _same_batch(q.data, k.data) or q.data.shape[-1] != k.data.shape[-1]
+            or q.data.shape[-1] % n_heads):
         raise ShapeError(f"head_scores: shapes {q.data.shape}, {k.data.shape}, {n_heads} heads")
     qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
+    out_shape = q.data.shape[:-2] + (-1, k.data.shape[-2])
 
     def bwd(g):
-        gh = g.reshape(n_heads, -1, k.data.shape[0])
+        gh = g.reshape(kh.shape[:-2] + (-1, kh.shape[-2]))
         return (_merge_heads(np.matmul(gh, kh)),
-                _merge_heads(np.matmul(gh.transpose(0, 2, 1), qh)))
+                _merge_heads(np.matmul(gh.swapaxes(-1, -2), qh)))
 
-    out = np.matmul(qh, kh.transpose(0, 2, 1)).reshape(-1, k.data.shape[0])
+    out = np.matmul(qh, kh.swapaxes(-1, -2)).reshape(out_shape)
     return _make(out, (q, k), bwd, "head_scores")
 
 
 def head_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Row block h of w ((n_heads * Lq) x Lk) times column block h of v
-    (Lk x d), the products placed side by side: an Lq x d matrix."""
-    if (w.data.shape[1] != v.data.shape[0] or w.data.shape[0] % n_heads
-            or v.data.shape[1] % n_heads):
+    """Row block h of w (..., n_heads * Lq, Lk) times column block h of v
+    (..., Lk, d), the products placed side by side: (..., Lq, d)."""
+    if (not _same_batch(w.data, v.data) or w.data.shape[-1] != v.data.shape[-2]
+            or w.data.shape[-2] % n_heads or v.data.shape[-1] % n_heads):
         raise ShapeError(f"head_mix: shapes {w.data.shape}, {v.data.shape}, {n_heads} heads")
-    wh = w.data.reshape(n_heads, -1, w.data.shape[1])
+    wh = w.data.reshape(w.data.shape[:-2] + (n_heads, -1, w.data.shape[-1]))
     vh = _split_heads(v.data, n_heads)
 
     def bwd(g):
         gh = _split_heads(g, n_heads)
-        return (np.matmul(gh, vh.transpose(0, 2, 1)).reshape(w.data.shape),
-                _merge_heads(np.matmul(wh.transpose(0, 2, 1), gh)))
+        return (np.matmul(gh, vh.swapaxes(-1, -2)).reshape(w.data.shape),
+                _merge_heads(np.matmul(wh.swapaxes(-1, -2), gh)))
 
     return _make(_merge_heads(np.matmul(wh, vh)), (w, v), bwd, "head_mix")
 
@@ -230,13 +267,15 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax over unmasked entries. Masked entries get weight
-    exactly 0 and zero gradient; the mask is a constant, not differentiated."""
+    """Softmax over the unmasked entries of each row (last axis). Masked
+    entries get weight exactly 0 and zero gradient; the mask is a constant,
+    not differentiated. The mask has the shape of scores, or of their last
+    two axes to be shared by every batch item."""
     mask = np.asarray(mask, dtype=bool)
-    if scores.data.ndim != 2 or mask.shape != scores.data.shape:
+    if scores.data.ndim < 2 or mask.shape not in (scores.data.shape, scores.data.shape[-2:]):
         raise ShapeError(f"masked_softmax: scores {scores.data.shape} vs mask {mask.shape}")
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
+    if not mask.any(axis=-1).all():
+        bad = np.argwhere(~mask.any(axis=-1))[0].tolist()
         raise ValueError(f"masked_softmax: row {bad} is fully masked")
     w = kernels.masked_softmax_forward(scores.data, mask)
 
@@ -294,10 +333,15 @@ def tensor_sum(x: Tensor) -> Tensor:
 # backward pass
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; populates .grad on every
-    requires_grad tensor reachable from it. Gradients accumulate additively
-    across multiple uses of the same tensor and across backward calls
-    (reset with zero_grad)."""
+    """Reverse-mode sweep from a scalar loss; adds the gradient into .grad of
+    every leaf (a requires_grad tensor no op made) reachable from it.
+    Gradients accumulate additively across multiple uses of the same tensor
+    and across backward calls (reset with zero_grad).
+
+    The sweep frees the graph as it goes: each op node drops its parents and
+    backward closure once its gradient has been passed on, so intermediate
+    arrays are released early. A later backward that reaches a swept node
+    raises RuntimeError rather than silently losing gradients."""
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss._backward_done:
@@ -317,21 +361,25 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if p._backward_done:
+                raise RuntimeError("backward reached a graph an earlier backward "
+                                   "already freed; rebuild the graph")
             if p.requires_grad:
                 stack.append((p, False))
 
     pending = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = pending.pop(id(node), None)
+        fn, parents = node._backward_fn, node._parents
+        if fn is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        node._backward_fn, node._parents, node._backward_done = None, (), True
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = g
-        else:
-            node.grad = node.grad + g
-        if node._backward_fn is None:
-            continue
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
+        for parent, pg in zip(parents, fn(g)):
             if not parent.requires_grad or pg is None:
                 continue
             if id(parent) in pending:

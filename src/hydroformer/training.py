@@ -1,15 +1,22 @@
 """Mini-batch Adam training with teacher forcing, early stopping on
-validation loss, and per-epoch loss-curve logging."""
+validation loss, and per-epoch loss-curve logging.
+
+Samples go through the model as stacked sub-batches (B x L x F windows), one
+graph each; a mini-batch's gradients accumulate across its sub-batches. The
+sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import WindowedDataset
+from .data import TARGET_INDEX, WindowedDataset
 from .errors import ConfigError, NumericError
 from .metrics import MetricReport
-from .model import TransformerModel
-from .tensor import backward, mse, Tensor
+from .model import ModelConfig, TransformerModel
+from .tensor import backward, mse, no_grad, Tensor
+
+# Bytes one sub-batch's graph may keep alive for backward.
+TAPE_BUDGET_BYTES = 4 << 20
 
 
 @dataclass
@@ -108,15 +115,63 @@ class EarlyStopper:
 def teacher_forced_input(window: np.ndarray, targets: np.ndarray,
                          target_index: int) -> np.ndarray:
     """Decoder input for training: start token (last observed target in the
-    window) followed by the ground-truth targets shifted right."""
-    return np.concatenate(([window[-1, target_index]], targets[:-1]))[:, None]
+    window) followed by the ground-truth targets shifted right. H x 1 for one
+    window (L x F) and H targets; B x H x 1 for a batch of them."""
+    return np.concatenate((window[..., -1:, target_index], targets[..., :-1]),
+                          axis=-1)[..., None]
+
+
+def tape_bytes_per_sample(config: ModelConfig) -> int:
+    """Estimate of the bytes one training sample's graph keeps alive until
+    backward: the inputs, every op output and the arrays backward closures
+    save (relu and tanh slopes, layer-norm x-hat and 1/std)."""
+    c = config
+    L, H, d, f, nh = c.lookback, c.horizon, c.d_model, c.d_ffn, c.n_heads
+
+    def attn(q, k):
+        # q/k/v projections; raw, scaled and softmaxed scores of every head;
+        # head mix, wo, residual, layer norm with its x-hat and 1/std
+        return q * d + 2 * k * d + 3 * nh * q * k + 5 * q * d + q
+
+    def ffn(rows):
+        # w1, bias, relu and its slope; w2, bias; residual, layer norm
+        return 4 * rows * f + 5 * rows * d + rows
+
+    head = H * (4 * d + 2) if c.output_head == "nonlinear" else 2 * H
+    values = (L * c.n_features + 2 * L * d              # window, embedding
+              + c.n_encoder_layers * (attn(L, L) + ffn(L))
+              + H + 2 * H * d                           # decoder input, embedding
+              + c.n_decoder_layers * (attn(H, H) + attn(H, L) + ffn(H))
+              + head + 2 * H)                           # targets, mse difference
+    return 8 * values
+
+
+def sub_batch_size(config: ModelConfig) -> int:
+    """Most samples per graph whose estimated tape fits TAPE_BUDGET_BYTES,
+    at least one."""
+    return max(1, TAPE_BUDGET_BYTES // tape_bytes_per_sample(config))
+
+
+def _sub_batches(indices, size):
+    """The fewest near-equal chunks of at most `size` indices."""
+    return np.array_split(indices, -(-len(indices) // size))
+
+
+def _batch(samples, idx, target_index):
+    """Stacked windows, teacher-forced decoder inputs and B x H x 1 targets."""
+    w, tgt = samples.windows[idx], samples.targets[idx]
+    return w, teacher_forced_input(w, tgt, target_index), tgt[..., None]
 
 
 def _split_loss(model, samples, target_index) -> float:
+    """Mean teacher-forced MSE over a split's windows; records no tape."""
     total = 0.0
-    for w, tgt in zip(samples.windows, samples.targets):
-        out = model.forward(w, teacher_forced_input(w, tgt, target_index))
-        total += float(np.mean((out.data.ravel() - tgt) ** 2))
+    with no_grad():
+        for idx in _sub_batches(np.arange(len(samples.windows)),
+                                sub_batch_size(model.config)):
+            w, dec_in, tgt = _batch(samples, idx, target_index)
+            out = model.forward(w, dec_in).data
+            total += float(((out - tgt) ** 2).mean(axis=(1, 2)).sum())
     return total / len(samples.windows)
 
 
@@ -124,7 +179,6 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
         cfg: TrainConfig) -> LossCurve:
     """Train in place; returns the loss curve. Weights from the epoch with
     the best validation loss are restored on exit."""
-    from .data import TARGET_INDEX
     train = dataset.split("train")
     val = dataset.split("val")
     if len(train.windows) == 0 or len(val.windows) == 0:
@@ -140,22 +194,22 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
     best_state = model.state_arrays()
 
     n = len(train.windows)
+    sub = sub_batch_size(model.config)
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n) if cfg.shuffle_train else np.arange(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
             model.zero_grads()
-            for idx in batch:
-                w = train.windows[idx]
-                tgt = train.targets[idx]
-                out = model.forward(w, teacher_forced_input(w, tgt, TARGET_INDEX))
-                loss = mse(out, Tensor(tgt[:, None]))
-                epoch_loss += float(loss.data)
+            for idx in _sub_batches(batch, sub):
                 try:
-                    backward(loss * (1.0 / len(batch)))
+                    w, dec_in, tgt = _batch(train, idx, TARGET_INDEX)
+                    # mean over the sub-batch, weighted to a mean over the batch
+                    loss = mse(model.forward(w, dec_in), Tensor(tgt))
+                    backward(loss * (len(idx) / len(batch)))
                 except NumericError as e:
-                    raise NumericError(f"epoch {epoch}, sample {idx}: {e}") from e
+                    raise NumericError(f"epoch {epoch}, samples {idx.tolist()}: {e}") from e
+                epoch_loss += float(loss.data) * len(idx)
             optimizer.step(cfg.learning_rate)
         train_loss = epoch_loss / n
         val_loss = _split_loss(model, val, TARGET_INDEX)

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydroformer.attention import (attention_scores, causal_mask, default_k,
                                    dense_attention, multi_head, sparse_attention,
                                    topk_mask)
 from hydroformer.errors import ShapeError
 from hydroformer.gradcheck import grad_check
-from hydroformer.tensor import Tensor, backward, masked_softmax, tensor_sum
+from hydroformer.tensor import Tensor, backward, masked_softmax, mul, tensor_sum
 
 from _oracles import (ref_dense_attention, ref_multi_head, ref_sparse_attention,
                       ref_topk_mask)
@@ -277,3 +279,54 @@ class TestMultiHead:
         x = t(np.zeros((3, 4)))
         with pytest.raises(ValueError):
             multi_head(x, x, x, self._params(rng, 4), 2, k_sparse=0)
+
+
+def _multi_head_step(q_in, kv_in, weights, coef, n_heads, k_sparse, causal):
+    """Output and the gradients of sum(out * coef) for q_in, kv_in and the
+    four weights, on a fresh graph."""
+    leaves = [t(q_in), t(kv_in)] + [t(w) for w in weights]
+    out = multi_head(leaves[0], leaves[1], leaves[1], leaves[2:], n_heads,
+                     k_sparse=k_sparse, causal=causal)
+    backward(tensor_sum(mul(out, Tensor(coef))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 5), n_heads=st.sampled_from([1, 2, 4]),
+       mode=st.sampled_from(["dense", "sparse", "causal", "causal_sparse"]),
+       length=st.integers(1, 6), k=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_batched_multi_head_matches_per_sample_graphs(batch, n_heads, mode, length, k,
+                                                      seed):
+    """One B x L x d graph gives each item's output and the summed per-item
+    gradients of the 2-D graphs to <= 1e-12."""
+    rng = np.random.default_rng(seed)
+    d = 8
+    causal = mode.startswith("causal")
+    k_sparse = k if mode.endswith("sparse") else None
+    weights = [rng.uniform(-1, 1, (d, d)) for _ in range(4)]
+    q_in = rng.uniform(-1, 1, (batch, length, d))
+    kv_in = q_in if causal else rng.uniform(-1, 1, (batch, length + 1, d))
+    coef = rng.uniform(-1, 1, (batch, length, d))
+    out, grads = _multi_head_step(q_in, kv_in, weights, coef, n_heads, k_sparse, causal)
+    want_grads = [np.zeros_like(g) for g in grads]
+    for i in range(batch):
+        out_i, grads_i = _multi_head_step(q_in[i], kv_in[i], weights, coef[i], n_heads,
+                                          k_sparse, causal)
+        assert np.max(np.abs(out[i] - out_i)) <= 1e-12
+        for j, g in enumerate(grads_i):
+            if j < 2:
+                want_grads[j][i] = g
+            else:
+                want_grads[j] += g
+    for got, want in zip(grads, want_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_batched_causal_needs_square_scores():
+    rng = np.random.default_rng(21)
+    x = t(rng.standard_normal((2, 3, 4)))
+    memory = t(rng.standard_normal((2, 5, 4)))
+    for k_sparse in (None, 2):
+        with pytest.raises(ShapeError):
+            multi_head(x, memory, memory, [t(np.eye(4)) for _ in range(4)], 2,
+                       k_sparse=k_sparse, causal=True)

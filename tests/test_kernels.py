@@ -80,3 +80,42 @@ def test_topk_matches_per_row_oracle(case):
     want = ref_topk_mask(scores, k, allowed)
     assert np.array_equal(kernels.topk_keep(scores, k, allowed), want)
     assert np.array_equal(topk_mask(scores, k, allowed), want)
+
+
+@st.composite
+def batched_topk_cases(draw):
+    """(scores, k, allowed) with scores 1-4 x m x n and integer (tied) or
+    float values; allowed has the scores' shape or is one m x n mask shared
+    by the batch, every row with >= 1 allowed key."""
+    b, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        elements = st.integers(-3, 3).map(float)
+    else:
+        elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    scores = draw(hnp.arrays(np.float64, (b, m, n), elements=elements))
+    shape = draw(st.sampled_from([(b, m, n), (m, n)]))
+    allowed = draw(hnp.arrays(np.bool_, shape))
+    allowed[..., 0] = True
+    return scores, draw(st.integers(1, 10)), allowed
+
+
+@settings(max_examples=200, deadline=None)
+@given(batched_topk_cases())
+def test_topk_on_batched_scores_matches_per_row_oracle(case):
+    scores, k, allowed = case
+    full = np.broadcast_to(allowed, scores.shape)
+    want = np.stack([ref_topk_mask(s, k, a) for s, a in zip(scores, full)])
+    assert np.array_equal(topk_mask(scores, k, allowed), want)
+
+
+def test_softmax_kernels_on_batched_scores_match_per_matrix():
+    rng = np.random.default_rng(7)
+    scores = rng.uniform(-4, 4, (3, 5, 6))
+    mask = rng.random((5, 6)) < 0.5
+    mask[:, 0] = True
+    grad = rng.standard_normal(scores.shape)
+    w = kernels.masked_softmax_forward(scores, mask)
+    back = kernels.masked_softmax_backward(w, grad)
+    for i in range(3):
+        assert np.array_equal(w[i], kernels.masked_softmax_forward(scores[i], mask))
+        assert np.array_equal(back[i], kernels.masked_softmax_backward(w[i], grad[i]))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydroformer import data as D
+from hydroformer import model as model_mod
 from hydroformer.attention import dense_attention, multi_head
 from hydroformer.errors import ConfigError, DataError, ShapeError
 from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
                                checkpoint_digest, load_checkpoint, save_checkpoint)
-from hydroformer.tensor import Tensor, add, layer_norm
+from hydroformer.tensor import Tensor, add, backward, layer_norm, mse
 
 from _oracles import ref_layer_norm
 
@@ -194,6 +197,44 @@ class TestForward:
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
+def _step(model, window, dec, target):
+    """Output of one forward and every parameter gradient of mse * n_samples,
+    i.e. of the per-sample losses summed."""
+    model.zero_grads()
+    out = model.forward(window, dec)
+    backward(mse(out, Tensor(target)) * float(1 if window.ndim == 2 else len(window)))
+    return out.data, {n: p.grad for n, p in model.params.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 5), n_heads=st.sampled_from([1, 2, 4]),
+       mode=st.sampled_from(["dense", "sparse"]), lookback=st.integers(2, 6),
+       horizon=st.integers(1, 3), k=st.integers(1, 8),
+       head=st.sampled_from(["linear", "nonlinear"]), seed=st.integers(0, 2**16))
+def test_batched_step_matches_summed_per_sample_graphs(batch, n_heads, mode, lookback,
+                                                       horizon, k, head, seed):
+    """Outputs and every parameter gradient of one B-sample graph match the
+    per-sample 2-D graphs (gradients summed) to <= 1e-12; decoder
+    self-attention is causal, so every mode covers the causal path."""
+    cfg = ModelConfig(d_model=8, n_heads=n_heads, d_ffn=16, lookback=lookback,
+                      horizon=horizon, attention_mode=mode,
+                      k_sparse=k if mode == "sparse" else None, output_head=head)
+    model = TransformerModel(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    windows = rng.standard_normal((batch, lookback, cfg.n_features))
+    decs = rng.standard_normal((batch, horizon, 1))
+    targets = rng.standard_normal((batch, horizon, 1))
+    out, grads = _step(model, windows, decs, targets)
+    summed = {n: np.zeros_like(g) for n, g in grads.items()}
+    for i in range(batch):
+        out_i, grads_i = _step(model, windows[i], decs[i], targets[i])
+        assert np.max(np.abs(out[i] - out_i)) <= 1e-12
+        for n, g in grads_i.items():
+            summed[n] += g
+    for n, g in grads.items():
+        assert np.max(np.abs(g - summed[n])) <= 1e-12, n
+
+
 class TestPredict:
     def test_h1_single_step(self):
         cfg = tiny_config()
@@ -285,6 +326,19 @@ class TestCheckpoint:
         for name in model.params:
             assert np.array_equal(loaded.params[name].data, model.params[name].data)
         assert np.array_equal(norm2.mean, norm.mean)
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        model = TransformerModel(tiny_config(n_heads=2), seed=21)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, None, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(model_mod.np.random, "default_rng", no_draw)
+        loaded, _ = load_checkpoint(path)
+        for name in model.params:
+            assert np.array_equal(loaded.params[name].data, model.params[name].data)
 
     def test_digest_stable_across_saves(self, tmp_path):
         model = TransformerModel(tiny_config(), seed=20)

@@ -5,9 +5,10 @@ import pytest
 
 from hydroformer.errors import NumericError, ShapeError
 from hydroformer.gradcheck import grad_check
+from hydroformer import tensor as T
 from hydroformer.tensor import (Tensor, activation, add, add_bias, backward,
                                 concat_cols, head_mix, head_scores, layer_norm,
-                                masked_softmax, matmul, mse, mul, scale, sub,
+                                masked_softmax, matmul, mse, mul, no_grad, scale, sub,
                                 tensor_sum, transpose)
 
 from _oracles import ref_masked_softmax
@@ -230,6 +231,159 @@ class TestBackward:
         backward(tensor_sum(mul(x2, x2)))
         backward(tensor_sum(x2))
         assert np.allclose(x1.grad, x2.grad, atol=1e-15)
+
+    def test_sweep_keeps_grads_on_leaves_only_and_frees_the_graph(self):
+        x = t([1.0, 2.0])
+        h = mul(x, x)
+        loss = tensor_sum(h)
+        backward(loss)
+        assert np.array_equal(x.grad, [2, 4])
+        assert h.grad is None and loss.grad is None
+        for node in (h, loss):
+            assert node._parents == () and node._backward_fn is None
+
+    def test_backward_into_a_swept_shared_subgraph_raises(self):
+        x = t([1.0, 2.0])
+        shared = mul(x, x)
+        backward(tensor_sum(shared))
+        with pytest.raises(RuntimeError, match="freed"):
+            backward(tensor_sum(scale(shared, 2.0)))
+        assert np.array_equal(x.grad, [2, 4])
+
+    def test_leaf_grads_accumulate_across_separate_graphs(self):
+        # both graphs share the leaf w and exist before either is swept
+        w = t([[0.5, -1.0], [2.0, 0.25]])
+        xs = [np.array([[1.0, 2.0]]), np.array([[-3.0, 0.5]])]
+        losses = [tensor_sum(activation(matmul(Tensor(x), w), "tanh")) for x in xs]
+        for loss in losses:
+            backward(loss)
+        expect = sum(x.T @ (1 - np.tanh(x @ w.data) ** 2) for x in xs)
+        assert np.allclose(w.grad, expect, rtol=0, atol=1e-15)
+
+
+class TestNoGrad:
+    def _graph(self, rng):
+        x = t(rng.uniform(-1, 1, (2, 4, 6)))
+        w, g, b = t(rng.uniform(-1, 1, (6, 6))), t(np.ones(6)), t(np.zeros(6))
+        s = head_scores(matmul(x, w), x, 2)
+        mixed = head_mix(masked_softmax(s, np.ones(s.shape[-2:], bool)), x, 2)
+        return layer_norm(activation(mixed, "tanh"), g, b)
+
+    def test_outputs_equal_taped_bit_for_bit_and_carry_no_parents(self):
+        taped = self._graph(np.random.default_rng(0))
+        with no_grad():
+            free = self._graph(np.random.default_rng(0))
+        assert np.array_equal(taped.data, free.data)
+        assert taped._parents and taped.requires_grad
+        assert free._parents == () and free._backward_fn is None
+        assert not free.requires_grad
+
+    def test_scope_restored_after_exception(self):
+        with pytest.raises(ShapeError):
+            with no_grad():
+                matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+        assert T._grad_enabled
+        assert matmul(t(np.eye(2)), t(np.eye(2)))._parents
+
+    def test_nested_scopes_restore_the_outer_state(self):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not T._grad_enabled
+        assert T._grad_enabled
+
+
+class TestBatched:
+    """Ops on a leading batch axis: each batch item matches the 2-D op, and
+    gradients pass finite differences."""
+
+    def test_matmul_rows_of_every_item_match_2d(self):
+        rng = np.random.default_rng(30)
+        a, b = rng.uniform(-1, 1, (3, 4, 5)), rng.uniform(-1, 1, (5, 2))
+        out = matmul(t(a), t(b)).data
+        for i in range(3):
+            assert np.allclose(out[i], a[i] @ b, rtol=0, atol=1e-15)
+
+    def test_matmul_grad(self):
+        rng = np.random.default_rng(31)
+        a, b = rng.uniform(-2, 2, (2, 3, 4)), rng.uniform(-2, 2, (4, 2))
+        coef = rng.uniform(-1, 1, (2, 3, 2))
+        fn = lambda ts: tensor_sum(mul(matmul(ts[0], ts[1]), Tensor(coef)))
+        assert grad_check(fn, [a, b]).ok(1e-4)
+
+    @pytest.mark.parametrize("bias_shape", [(4,), (3, 4)])
+    def test_add_bias_grad(self, bias_shape):
+        rng = np.random.default_rng(32)
+        x, b = rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, bias_shape)
+        assert np.array_equal(add_bias(t(x), t(b)).data, x + b)
+        fn = lambda ts: tensor_sum(mul(add_bias(ts[0], ts[1]), ts[0]))
+        assert grad_check(fn, [x, b]).ok(1e-4)
+
+    def test_add_bias_rejects_non_trailing_shapes(self):
+        with pytest.raises(ShapeError):
+            add_bias(t(np.zeros((2, 3, 4))), t(np.zeros((2, 4))))
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_head_scores_grad(self, n_heads):
+        rng = np.random.default_rng(33 + n_heads)
+        q, k = rng.uniform(-1, 1, (2, 3, 6)), rng.uniform(-1, 1, (2, 4, 6))
+        out = head_scores(t(q), t(k), n_heads).data
+        for i in range(2):
+            assert np.array_equal(out[i], head_scores(t(q[i]), t(k[i]), n_heads).data)
+        coef = rng.uniform(-1, 1, (2, n_heads * 3, 4))
+        fn = lambda ts: tensor_sum(mul(head_scores(ts[0], ts[1], n_heads), Tensor(coef)))
+        assert grad_check(fn, [q, k]).ok(1e-4)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_head_mix_grad(self, n_heads):
+        rng = np.random.default_rng(36 + n_heads)
+        w, v = rng.uniform(-1, 1, (2, n_heads * 3, 4)), rng.uniform(-1, 1, (2, 4, 6))
+        out = head_mix(t(w), t(v), n_heads).data
+        for i in range(2):
+            assert np.array_equal(out[i], head_mix(t(w[i]), t(v[i]), n_heads).data)
+        coef = rng.uniform(-1, 1, (2, 3, 6))
+        fn = lambda ts: tensor_sum(mul(head_mix(ts[0], ts[1], n_heads), Tensor(coef)))
+        assert grad_check(fn, [w, v]).ok(1e-4)
+
+    def test_head_ops_reject_mismatched_batches(self):
+        with pytest.raises(ShapeError):
+            head_scores(t(np.zeros((2, 3, 4))), t(np.zeros((3, 3, 4))), 2)
+        with pytest.raises(ShapeError):
+            head_scores(t(np.zeros((2, 3, 4))), t(np.zeros((3, 4))), 2)
+        with pytest.raises(ShapeError):
+            head_mix(t(np.zeros((2, 4, 3))), t(np.zeros((3, 4))), 2)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_masked_softmax_grad(self, shared):
+        rng = np.random.default_rng(40)
+        scores = rng.uniform(-2, 2, (2, 3, 4))
+        mask = rng.random((3, 4) if shared else (2, 3, 4)) < 0.6
+        mask[..., 0] = True
+        full = np.broadcast_to(mask, scores.shape)
+        out = masked_softmax(t(scores), mask).data
+        for i in range(2):
+            assert np.allclose(out[i], ref_masked_softmax(scores[i], full[i]), atol=1e-14)
+        coef = rng.uniform(-1, 1, (2, 3, 4))
+        fn = lambda ts: tensor_sum(mul(masked_softmax(ts[0], mask), Tensor(coef)))
+        assert grad_check(fn, [scores]).ok(1e-4)
+
+    def test_masked_softmax_rejects_other_mask_shapes(self):
+        with pytest.raises(ShapeError):
+            masked_softmax(t(np.zeros((2, 3, 4))), np.ones((3, 3), bool))
+        with pytest.raises(ShapeError):
+            masked_softmax(t(np.zeros((2, 3, 4))), np.ones((1, 3, 4), bool))
+        mask = np.ones((2, 3, 4), bool)
+        mask[1, 2] = False
+        with pytest.raises(ValueError, match="fully masked"):
+            masked_softmax(t(np.zeros((2, 3, 4))), mask)
+
+    def test_layer_norm_grad(self):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-2, 2, (2, 3, 5))
+        g, b = rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5)
+        coef = rng.uniform(-1, 1, (2, 3, 5))
+        fn = lambda ts: tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2]), Tensor(coef)))
+        assert grad_check(fn, [x, g, b]).ok(1e-4)
 
 
 class TestFiniteGuard:

@@ -1,12 +1,17 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hydroformer import data as D
+from hydroformer import training
 from hydroformer.errors import ConfigError, NumericError
 from hydroformer.model import ModelConfig, TransformerModel
-from hydroformer.tensor import Tensor, backward
-from hydroformer.training import (Adam, EarlyStopper, LossCurve, TrainConfig,
-                                  evaluate_split, fit, teacher_forced_input)
+from hydroformer.tensor import Tensor, backward, mse
+from hydroformer.training import (TAPE_BUDGET_BYTES, Adam, EarlyStopper, LossCurve,
+                                  TrainConfig, _sub_batches, evaluate_split, fit,
+                                  sub_batch_size, teacher_forced_input)
 
 
 def small_dataset(seed=1, length=500, lookback=6, horizon=2):
@@ -96,6 +101,44 @@ class TestTeacherForcing:
         dec = teacher_forced_input(window, targets, D.TARGET_INDEX)
         assert dec.ravel().tolist() == [7.0, 1.0, 2.0]
 
+    def test_batch_stacks_per_window_inputs(self):
+        rng = np.random.default_rng(0)
+        windows, targets = rng.standard_normal((3, 4, 19)), rng.standard_normal((3, 2))
+        dec = teacher_forced_input(windows, targets, D.TARGET_INDEX)
+        assert dec.shape == (3, 2, 1)
+        for i in range(3):
+            assert np.array_equal(dec[i], teacher_forced_input(windows[i], targets[i],
+                                                               D.TARGET_INDEX))
+
+
+DESK = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
+                              lookback=30, horizon=7)
+
+
+class TestSubBatches:
+    def test_sizes(self):
+        assert sub_batch_size(DESK) == 10
+        # a paper-scale sample alone exceeds the budget: one sample per graph
+        assert sub_batch_size(ModelConfig(lookback=30, horizon=7)) == 1
+        assert [len(c) for c in _sub_batches(np.arange(32), 10)] == [8, 8, 8, 8]
+        assert [len(c) for c in _sub_batches(np.arange(5), 10)] == [5]
+
+    def test_desk_scale_sub_batch_peak_under_budget(self):
+        model = TransformerModel(DESK, seed=0)
+        rng = np.random.default_rng(0)
+        b = sub_batch_size(DESK)
+        windows = rng.standard_normal((b, DESK.lookback, DESK.n_features))
+        targets = rng.standard_normal((b, DESK.horizon))
+        dec = teacher_forced_input(windows, targets, D.TARGET_INDEX)
+        tracemalloc.start()
+        try:
+            loss = mse(model.forward(windows, dec), Tensor(targets[..., None]))
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < TAPE_BUDGET_BYTES
+
 
 class TestFit:
     def test_lr_zero_keeps_params_and_loss(self):
@@ -127,6 +170,38 @@ class TestFit:
         from hydroformer.training import _split_loss
         val_now = _split_loss(model, ds.split("val"), D.TARGET_INDEX)
         assert val_now == pytest.approx(min(curve.val_losses), abs=1e-12)
+
+    def test_batch_gradient_is_mean_of_per_sample_gradients(self, monkeypatch):
+        """Sub-batches of unequal size (3, 3, 2) weight to the batch mean."""
+        ds = small_dataset()
+        model = small_model(seed=8)
+        monkeypatch.setattr(training, "TAPE_BUDGET_BYTES",
+                            3 * training.tape_bytes_per_sample(model.config))
+        grads = []
+        monkeypatch.setattr(Adam, "step", lambda opt, lr: grads.append(
+            {n: p.grad.copy() for n, p in opt.params.items()}))
+        fit(model, ds, TrainConfig(batch_size=8, max_epochs=1, shuffle_train=False))
+        train = ds.split("train")
+        want = {n: np.zeros_like(g) for n, g in grads[0].items()}
+        for i in range(8):
+            model.zero_grads()
+            w, tgt = train.windows[i], train.targets[i]
+            out = model.forward(w, teacher_forced_input(w, tgt, D.TARGET_INDEX))
+            backward(mse(out, Tensor(tgt[:, None])))
+            for n, p in model.params.items():
+                want[n] += p.grad / 8
+        for n, g in grads[0].items():
+            assert np.max(np.abs(g - want[n])) <= 1e-12, n
+
+    def test_non_finite_window_names_epoch_and_samples(self):
+        ds = small_dataset()
+        planted = 7
+        ds.split("train").windows[planted, 2, 0] = np.nan
+        with pytest.raises(NumericError, match=r"epoch 0, samples \[") as info:
+            fit(small_model(), ds, TrainConfig(max_epochs=1, seed=1))
+        samples = re.search(r"samples \[([0-9, ]+)\]", str(info.value)).group(1)
+        assert planted in [int(i) for i in samples.split(",")]
+        assert "matmul" in str(info.value)
 
     def test_horizon_mismatch_rejected(self):
         ds = small_dataset(horizon=2)
