@@ -69,14 +69,11 @@ def bench_attention(lengths, ks, d_k: int = 64, repeats: int = 5,
 
 
 def _resolve_k(spec, length: int) -> int:
-    if isinstance(spec, int):
-        return spec
-    text = str(spec).strip()
-    if text == "L":
+    if spec == "L":
         return length
-    if text == "L/4":
+    if spec == "L/4":
         return default_k(length)
-    return int(text)
+    return spec
 
 
 def rows_to_text(rows) -> str:

@@ -6,6 +6,7 @@ the fully-resolved config for provenance.
 """
 
 import argparse
+import datetime
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -112,11 +113,9 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
                      for f in fields(ModelConfig)}
     desk_defaults.update(model_kwargs)
     cfg.model = ModelConfig(**desk_defaults)
-    train_kwargs.setdefault("seed", cfg.seed)
-    cfg.train = TrainConfig(**train_kwargs)
     if seed_override is not None:
         cfg.seed = seed_override
-        cfg.train.seed = seed_override
+    cfg.train = TrainConfig(seed=cfg.seed, **train_kwargs)
     if cfg.r2_mode not in ("paper", "standard"):
         raise ConfigError(f"eval.r2_mode must be paper or standard, got {cfg.r2_mode!r}")
     return cfg
@@ -200,8 +199,7 @@ def cmd_evaluate(args) -> int:
     series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
     dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
     dataset.normalizer = normalizer
-    leads = _parse_leads(args.leads)
-    report, series_by_lead = evaluate_split(model, dataset, args.split, leads,
+    report, series_by_lead = evaluate_split(model, dataset, args.split, args.leads,
                                             r2_mode=args.r2_mode)
     out = _outdir(args)
     (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
@@ -230,11 +228,9 @@ def cmd_predict(args) -> int:
 def _explain_instances(args, model, dataset):
     test = dataset.split("test")
     if args.instance is not None:
-        import datetime
-        want = datetime.date.fromisoformat(args.instance)
-        matches = [i for i, d in enumerate(test.anchors) if d == want]
+        matches = [i for i, d in enumerate(test.anchors) if d == args.instance]
         if not matches:
-            raise DataError(f"no test-split sample anchored at {want}")
+            raise DataError(f"no test-split sample anchored at {args.instance}")
         return matches
     n = len(test.windows)
     if n == 0:
@@ -283,9 +279,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",")]
-    ks = [x.strip() for x in args.ks.split(",")]
-    rows = bench_mod.bench_attention(lengths, ks, d_k=args.d_k,
+    rows = bench_mod.bench_attention(args.lengths, args.ks, d_k=args.d_k,
                                      repeats=args.repeats, seed=args.seed)
     text = bench_mod.rows_to_text(rows)
     if args.out:
@@ -296,6 +290,40 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# option types: a bad value exits 2 through argparse with a message
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)
+
+
+def _positive_ints(text):
+    return [_positive_int(x) for x in text.split(",")]
+
+
+def _bench_ks(text):
+    """Comma list of k values: positive integers, L or L/4."""
+    return [x.strip() if x.strip() in ("L", "L/4") else _positive_int(x)
+            for x in text.split(",")]
+
+
+def _iso_date(text):
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a date YYYY-MM-DD, got {text!r}") from None
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hydroformer",
@@ -304,21 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic input file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--length", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a data file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--leads", default="1,3,5,7")
+    p.add_argument("--leads", type=_positive_ints, default="1,3,5,7")
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--r2-mode", dest="r2_mode", default="paper",
                    choices=["paper", "standard"])
@@ -334,25 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--instance", help="anchor date (YYYY-MM-DD) for a force report")
+    group.add_argument("--instance", type=_iso_date,
+                       help="anchor date (YYYY-MM-DD) for a force report")
     group.add_argument("--global", dest="global_mode", action="store_true",
                        help="global importance over a test sample")
-    p.add_argument("--sample", type=int, default=64)
+    p.add_argument("--sample", type=_positive_int, default=64)
     p.add_argument("--lead", type=int, default=1)
     p.add_argument("--estimator", default="sampled", choices=["exact", "sampled"])
     p.add_argument("--permutations", type=int, default=20)
     p.add_argument("--allow-large-exact", dest="allow_large_exact",
                    action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("bench", help="time dense vs sparse attention")
-    p.add_argument("--lengths", default="64,128,256")
-    p.add_argument("--ks", default="8,L/4,L")
-    p.add_argument("--d-k", dest="d_k", type=int, default=64)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lengths", type=_positive_ints, default="64,128,256")
+    p.add_argument("--ks", type=_bench_ks, default="8,L/4,L")
+    p.add_argument("--d-k", dest="d_k", type=_positive_int, default=64)
+    p.add_argument("--repeats", type=_positive_int, default=5)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

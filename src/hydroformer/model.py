@@ -242,21 +242,19 @@ class TransformerModel:
     def predict(self, window, horizon: int) -> np.ndarray:
         """Greedy autoregressive rollout in normalized space. The start token
         is the last observed target value in the window; each prediction is
-        fed back as the next decoder input. Returns an (horizon, 1) array.
-        Records no tape."""
+        fed back as the next decoder input. One L x F window returns a
+        (horizon, 1) array; a B x L x F stack runs as one batch through the
+        same ops and returns B x horizon x 1. Records no tape."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = np.asarray(window, dtype=np.float64)
         with no_grad():
             memory = self.encoder_forward(self.embed_encoder(window))
-            dec = [float(window[-1, TARGET_INDEX])]
-            preds = []
+            dec = window[..., -1:, TARGET_INDEX, None]        # (..., 1, 1) start token
             for t in range(horizon):
-                emb = self.embed_decoder(np.array(dec, dtype=np.float64)[:, None])
-                out = self.output_head(self.decoder_forward(emb, memory))
-                preds.append(float(out.data[t, 0]))
-                dec.append(preds[-1])
-        return np.array(preds)[:, None]
+                out = self.output_head(self.decoder_forward(self.embed_decoder(dec), memory))
+                dec = np.concatenate((dec, out.data[..., t:t + 1, :]), axis=-2)
+        return dec[..., 1:, :]
 
     # -- state --------------------------------------------------------------
 

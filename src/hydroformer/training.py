@@ -3,20 +3,24 @@ validation loss, and per-epoch loss-curve logging.
 
 Samples go through the model as stacked sub-batches (B x L x F windows), one
 graph each; a mini-batch's gradients accumulate across its sub-batches. The
-sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES."""
+sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES. Passes that
+record no tape (the validation loss, evaluation rollouts) run in chunks of
+forward_batch_size windows, sized from FORWARD_BUDGET_BYTES."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import TARGET_INDEX, WindowedDataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricReport
 from .model import ModelConfig, TransformerModel
 from .tensor import backward, mse, no_grad, Tensor
 
 # Bytes one sub-batch's graph may keep alive for backward.
 TAPE_BUDGET_BYTES = 4 << 20
+# Bytes one no-grad forward chunk may hold at its peak.
+FORWARD_BUDGET_BYTES = 128 << 20
 
 
 @dataclass
@@ -32,10 +36,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.early_stop_patience < 1:
             raise ConfigError("batch_size, max_epochs, and patience must be positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.min_delta < 0:
-            raise ConfigError("min_delta must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0 <= self.min_delta < np.inf:
+            raise ConfigError(f"min_delta must be finite and >= 0, got {self.min_delta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class Adam:
@@ -152,6 +158,15 @@ def sub_batch_size(config: ModelConfig) -> int:
     return max(1, TAPE_BUDGET_BYTES // tape_bytes_per_sample(config))
 
 
+def forward_batch_size(config: ModelConfig) -> int:
+    """Most windows per no-grad forward or rollout chunk, at least one: each
+    window is charged four L x w float64 arrays, w the widest per-row array
+    (FFN hidden, model width or one row of all heads' scores)."""
+    L = config.lookback
+    width = max(config.d_ffn, config.d_model, config.n_heads * L)
+    return max(1, FORWARD_BUDGET_BYTES // (32 * L * width))
+
+
 def _sub_batches(indices, size):
     """The fewest near-equal chunks of at most `size` indices."""
     return np.array_split(indices, -(-len(indices) // size))
@@ -164,11 +179,12 @@ def _batch(samples, idx, target_index):
 
 
 def _split_loss(model, samples, target_index) -> float:
-    """Mean teacher-forced MSE over a split's windows; records no tape."""
+    """Mean teacher-forced MSE over a split's windows, in chunks of
+    forward_batch_size windows; records no tape."""
     total = 0.0
     with no_grad():
         for idx in _sub_batches(np.arange(len(samples.windows)),
-                                sub_batch_size(model.config)):
+                                forward_batch_size(model.config)):
             w, dec_in, tgt = _batch(samples, idx, target_index)
             out = model.forward(w, dec_in).data
             total += float(((out - tgt) ** 2).mean(axis=(1, 2)).sum())
@@ -230,17 +246,23 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
 def evaluate_split(model, dataset: WindowedDataset, split: str, leads,
                    r2_mode: str = "paper"):
     """Autoregressive evaluation at each requested lead time on denormalized
-    values. Returns (MetricReport, per-lead prediction series) where each
-    series is a list of (anchor_date, actual, predicted) rows."""
+    values. The split's windows are rolled out as stacked batches, the fewest
+    near-equal chunks of at most forward_batch_size windows. Returns
+    (MetricReport, per-lead prediction series) where each series is a list of
+    (anchor_date, actual, predicted) rows. A split of fewer than 2 windows
+    raises DataError."""
     leads = sorted(set(int(x) for x in leads))
     horizon = model.config.horizon
     if any(lead < 1 or lead > horizon for lead in leads):
         raise ConfigError(f"leads {leads} must lie in [1, horizon={horizon}]")
     samples = dataset.split(split)
+    n = len(samples.windows)
+    if n < 2:
+        raise DataError(f"{split} split has {n} window(s); metrics need at least 2")
     norm = dataset.normalizer
-    preds = np.empty((len(samples.windows), max(leads)))
-    for i, w in enumerate(samples.windows):
-        preds[i] = model.predict(w, max(leads)).ravel()
+    preds = np.concatenate([model.predict(samples.windows[idx], max(leads))[..., 0]
+                            for idx in _sub_batches(np.arange(n),
+                                                    forward_batch_size(model.config))])
     report = MetricReport()
     series = {}
     for lead in leads:

@@ -1,10 +1,14 @@
 """Independent straight-line numpy references used as test oracles.
 
 These deliberately avoid the package's tensor/attention code paths: plain
-numpy, no masking kernels, no autograd.
+numpy, no masking kernels, no autograd. The one exception is ref_rollout,
+the per-window rollout loop, which drives the model's own forward pieces.
 """
 
 import numpy as np
+
+from hydroformer.data import TARGET_INDEX
+from hydroformer.tensor import no_grad
 
 
 def ref_masked_softmax(scores, mask):
@@ -70,3 +74,20 @@ def ref_layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return gamma * (x - mu) / np.sqrt(var + eps) + beta
+
+
+def ref_rollout(model, window, horizon):
+    """A model's greedy rollout for one L x F window, one step at a time with
+    the decoder input rebuilt from a list of floats (H x 1). Unlike the
+    references above it runs the model's own forward pieces: it is the oracle
+    for the rollout loop, not for the layers."""
+    with no_grad():
+        memory = model.encoder_forward(model.embed_encoder(window))
+        dec = [float(window[-1, TARGET_INDEX])]
+        preds = []
+        for t in range(horizon):
+            emb = model.embed_decoder(np.array(dec, dtype=np.float64)[:, None])
+            out = model.output_head(model.decoder_forward(emb, memory))
+            preds.append(float(out.data[t, 0]))
+            dec.append(preds[-1])
+    return np.array(preds)[:, None]

@@ -1,11 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hydroformer
 from hydroformer import cli
 from hydroformer import data as D
-from hydroformer.errors import ConfigError
+from hydroformer.errors import ConfigError, DataError
 from hydroformer.model import ModelConfig, TransformerModel, save_checkpoint
 
 
@@ -78,6 +86,16 @@ class TestConfigParsing:
     def test_bad_r2_mode(self):
         with pytest.raises(ConfigError):
             cli.build_run_config({"eval.r2_mode": "adjusted"})
+
+    @pytest.mark.parametrize("text", ["seed = -1", "train.learning_rate = nan",
+                                      "train.learning_rate = inf", "train.min_delta = nan"])
+    def test_unusable_values_rejected(self, text):
+        with pytest.raises(ConfigError):
+            cli.build_run_config(cli.parse_config_text(text))
+
+    def test_negative_seed_override_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            cli.build_run_config({}, seed_override=-1)
 
     def test_resolved_round_trips(self):
         cfg = cli.build_run_config(cli.parse_config_text("model.d_model = 16\nmodel.n_heads = 2"))
@@ -254,3 +272,83 @@ class TestBenchCommand:
         assert rc == 0
         rows = [ln.split("\t") for ln in (out / "bench.txt").read_text().splitlines()[1:]]
         assert [r[1] for r in rows if r[2] == "sparse"] == ["8"]
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12), st.integers().map(str), st.floats().map(repr),
+    st.sampled_from(["none", "auto", "true", "false", "sparse", "dense", "linear",
+                     "nonlinear", "tanh", "relu", "paper", "standard", "1,2", "1,,2", "0",
+                     "-1", "nan", "-inf", "1e999", "0x10", "1_000", ""]))
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format, st.sampled_from(sorted(cli._KEY_PARSERS)), _CONFIG_VALUES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+def test_config_text_fuzz(text):
+    """Arbitrary config text either builds a config that training can use
+    or raises ConfigError or DataError."""
+    try:
+        cfg = cli.build_run_config(cli.parse_config_text(text))
+    except (ConfigError, DataError):
+        return
+    assert cfg.train.seed == cfg.seed >= 0
+    assert math.isfinite(cfg.train.learning_rate) and math.isfinite(cfg.train.min_delta)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["evaluate", "--leads", "1,x", "--out", "OUT"], "--leads"),
+    (["explain", "--global", "--sample", "0", "--out", "OUT"], "--sample"),
+    (["explain", "--global", "--sample", "-3", "--out", "OUT"], "--sample"),
+    (["explain", "--instance", "2020-13-01", "--out", "OUT"], "--instance"),
+    (["bench", "--lengths", "0"], "--lengths"),
+    (["bench", "--ks", "L/0"], "--ks"),
+    (["bench", "--repeats", "0"], "--repeats"),
+    (["bench", "--ks", "0"], "--ks"),
+    (["bench", "--d-k", "0"], "--d-k"),
+    (["datagen", "--seed", "-1", "--out", "OUT"], "--seed"),
+    (["train", "--config", "CONFIG", "--seed", "-1", "--out", "OUT"], "--seed"),
+    (["explain", "--global", "--seed", "-1", "--out", "OUT"], "--seed"),
+], ids=["leads", "sample_zero", "sample_negative", "instance_date", "bench_lengths",
+        "bench_ks", "bench_repeats", "bench_k_zero", "bench_d_k", "datagen_seed",
+        "train_seed", "explain_seed"])
+def test_bad_option_value_exits_2_with_message(trained_run, tmp_path, capsys, argv, option):
+    argv = [str(trained_run["config"]) if a == "CONFIG" else a for a in argv]
+    if argv[0] in ("evaluate", "explain"):
+        argv = argv[:1] + ["--checkpoint", str(trained_run["checkpoint"]),
+                           "--data", str(trained_run["data"])] + argv[1:]
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "expected" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_split_of_one_window_is_data_error(trained_run, tmp_path, capsys):
+    # 60 rows at lookback 4, horizon 2: the validation segment is 6 rows, 1 window
+    lines = trained_run["data"].read_text().splitlines(keepends=True)
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:61]), encoding="utf-8")
+    rc = cli.main(["evaluate", "--checkpoint", str(trained_run["checkpoint"]),
+                   "--data", str(short), "--split", "val", "--leads", "1",
+                   "--out", str(tmp_path / "e")])
+    assert rc == cli.EXIT_DATA
+    assert "val split has 1 window" in capsys.readouterr().err
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(hydroformer.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "hydroformer", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run("datagen", "--seed", "1", "--length", "400", "--out", str(tmp_path / "d.csv"))
+    assert ok.returncode == 0 and "wrote 400 rows" in ok.stdout
+    short = run("datagen", "--length", "100", "--out", str(tmp_path / "x.csv"))
+    assert short.returncode == cli.EXIT_CONFIG and "config error" in short.stderr

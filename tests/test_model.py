@@ -11,7 +11,7 @@ from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel
                                checkpoint_digest, load_checkpoint, save_checkpoint)
 from hydroformer.tensor import Tensor, add, backward, layer_norm, mse
 
-from _oracles import ref_layer_norm
+from _oracles import ref_layer_norm, ref_rollout
 
 
 def tiny_config(**kw):
@@ -258,6 +258,38 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict(np.zeros((6, 19)), 0)
 
+    def test_one_window_or_a_stack(self):
+        cfg = tiny_config(horizon=3)
+        model = TransformerModel(cfg, seed=16)
+        windows = np.random.default_rng(16).standard_normal((4, cfg.lookback, cfg.n_features))
+        assert model.predict(windows[0], 3).shape == (3, 1)
+        assert model.predict(windows, 3).shape == (4, 3, 1)
+        assert model.predict(windows[:1], 2).shape == (1, 2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(1, 5), n_heads=st.sampled_from([1, 2, 4]),
+       mode=st.sampled_from(["dense", "sparse"]), k=st.one_of(st.none(), st.integers(1, 8)),
+       head=st.sampled_from(["linear", "nonlinear"]), horizon=st.integers(1, 5),
+       steps=st.data(), seed=st.integers(0, 2**16))
+def test_batched_predict_matches_per_window_rollout(batch, n_heads, mode, k, head, horizon,
+                                                    steps, seed):
+    """A stacked rollout matches the per-window rollout oracle for every
+    window to <= 1e-12, and a single window's rollout equals it bit for bit.
+    k None in sparse mode is ceil(prefix / 4), which grows with the prefix."""
+    cfg = ModelConfig(d_model=8, n_heads=n_heads, d_ffn=16, lookback=6, horizon=horizon,
+                      attention_mode=mode, k_sparse=k if mode == "sparse" else None,
+                      output_head=head)
+    model = TransformerModel(cfg, seed=seed)
+    windows = np.random.default_rng(seed).standard_normal((batch, 6, cfg.n_features))
+    h = steps.draw(st.integers(1, horizon))
+    stacked = model.predict(windows, h)
+    assert stacked.shape == (batch, h, 1)
+    for i in range(batch):
+        want = ref_rollout(model, windows[i], h)
+        assert np.max(np.abs(stacked[i] - want)) <= 1e-12
+        assert np.array_equal(model.predict(windows[i], h), want)
+
 
 class TestParameters:
     @staticmethod
@@ -352,3 +384,56 @@ class TestCheckpoint:
         p.write_bytes(b"\x00\x01 not a checkpoint\n" + b"\x00" * 64)
         with pytest.raises(DataError):
             load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoint(tmp_path_factory):
+    """Bytes of a valid desk-scale checkpoint, the length of its header line
+    and a scratch path the fuzz tests overwrite."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
+                                 lookback=30, horizon=7)
+    series = D.synth_generate(seed=3, length=400)
+    path = root / "ckpt.bin"
+    save_checkpoint(TransformerModel(cfg, seed=3), D.Normalizer.fit(series.values), path)
+    blob = path.read_bytes()
+    return blob, blob.index(b"\n") + 1, root / "fuzzed.bin"
+
+
+def _load_bytes(blob, path):
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    """Damaged copies of a valid checkpoint raise DataError or ConfigError,
+    never anything else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.data())
+    def test_truncated(self, desk_checkpoint, cut):
+        blob, _, path = desk_checkpoint
+        n = cut.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(DataError):
+            _load_bytes(blob[:n], path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tail=st.binary(min_size=1, max_size=64))
+    def test_extended(self, desk_checkpoint, tail):
+        blob, _, path = desk_checkpoint
+        with pytest.raises(DataError):
+            _load_bytes(blob + tail, path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(flips=st.data())
+    def test_bit_flipped(self, desk_checkpoint, flips):
+        blob, header_len, path = desk_checkpoint
+        where = st.one_of(st.integers(0, header_len - 1), st.integers(0, len(blob) - 1))
+        damaged = bytearray(blob)
+        for pos, bit in flips.draw(st.lists(st.tuples(where, st.integers(0, 7)),
+                                            min_size=1, max_size=3)):
+            damaged[pos] ^= 1 << bit
+        try:
+            _load_bytes(bytes(damaged), path)
+        except (DataError, ConfigError):
+            pass

@@ -6,12 +6,15 @@ import pytest
 
 from hydroformer import data as D
 from hydroformer import training
-from hydroformer.errors import ConfigError, NumericError
+from hydroformer.errors import ConfigError, DataError, NumericError
 from hydroformer.model import ModelConfig, TransformerModel
 from hydroformer.tensor import Tensor, backward, mse
-from hydroformer.training import (TAPE_BUDGET_BYTES, Adam, EarlyStopper, LossCurve,
-                                  TrainConfig, _sub_batches, evaluate_split, fit,
+from hydroformer.training import (FORWARD_BUDGET_BYTES, TAPE_BUDGET_BYTES, Adam,
+                                  EarlyStopper, LossCurve, TrainConfig, _split_loss,
+                                  _sub_batches, evaluate_split, fit, forward_batch_size,
                                   sub_batch_size, teacher_forced_input)
+
+from _oracles import ref_rollout
 
 
 def small_dataset(seed=1, length=500, lookback=6, horizon=2):
@@ -167,7 +170,6 @@ class TestFit:
                           early_stop_patience=2)
         curve = fit(model, ds, cfg)
         assert curve.best_epoch == int(np.argmin(curve.val_losses))
-        from hydroformer.training import _split_loss
         val_now = _split_loss(model, ds.split("val"), D.TARGET_INDEX)
         assert val_now == pytest.approx(min(curve.val_losses), abs=1e-12)
 
@@ -217,13 +219,16 @@ class TestFit:
 
 
 class _OracleModel:
-    """Stub that always predicts the true future targets."""
+    """Stub that always predicts the true future targets, of one window or
+    a stack of them."""
 
     def __init__(self, dataset, split, horizon):
         self.config = ModelConfig(d_model=8, n_heads=1, d_ffn=16, horizon=horizon)
         self._samples = dataset.split(split)
 
     def predict(self, window, horizon):
+        if window.ndim == 3:
+            return np.stack([self.predict(w, horizon) for w in window])
         for w, tgt in zip(self._samples.windows, self._samples.targets):
             if np.array_equal(w, window):
                 return tgt[:horizon, None]
@@ -231,13 +236,13 @@ class _OracleModel:
 
 
 class _PersistenceModel:
-    """Stub that repeats the last observed target value."""
+    """Stub that repeats the last observed target value of each window."""
 
     def __init__(self, horizon):
         self.config = ModelConfig(d_model=8, n_heads=1, d_ffn=16, horizon=horizon)
 
     def predict(self, window, horizon):
-        return np.full((horizon, 1), window[-1, D.TARGET_INDEX])
+        return np.repeat(window[..., -1:, D.TARGET_INDEX, None], horizon, axis=-2)
 
 
 class TestEvaluateSplit:
@@ -273,3 +278,94 @@ class TestEvaluateSplit:
         ds = small_dataset(horizon=2)
         with pytest.raises(ConfigError):
             evaluate_split(_PersistenceModel(2), ds, "test", [3])
+
+    def test_split_of_one_window_rejected_before_any_rollout(self):
+        ds = small_dataset(horizon=2)
+        val = ds.split("val")
+        val.windows, val.targets, val.anchors = val.windows[:1], val.targets[:1], val.anchors[:1]
+
+        class NoRollout(_PersistenceModel):
+            def predict(self, window, horizon):
+                raise AssertionError("rolled out a split too small for metrics")
+
+        with pytest.raises(DataError, match=r"val split has 1 window"):
+            evaluate_split(NoRollout(2), ds, "val", [1])
+
+    def test_matches_per_window_rollouts_across_uneven_chunks(self, monkeypatch):
+        """Budget patched to 5 windows a chunk: the 92 test windows run as 19
+        chunks of 4 or 5, and every prediction matches its own rollout."""
+        ds = small_dataset(horizon=3)
+        model = small_model(seed=9, horizon=3, attention_mode="sparse",
+                            output_head="nonlinear")
+        monkeypatch.setattr(training, "FORWARD_BUDGET_BYTES",
+                            5 * 32 * 6 * 16 + 100)
+        assert forward_batch_size(model.config) == 5
+        chunks = []
+        predict = model.predict
+        monkeypatch.setattr(model, "predict", lambda w, h: chunks.append(len(w)) or predict(w, h))
+        report, series = evaluate_split(model, ds, "test", [1, 3], r2_mode="standard")
+        test = ds.split("test")
+        assert sum(chunks) == len(test.windows) == 92
+        assert len(chunks) == 19 and set(chunks) == {4, 5}
+        want = np.stack([ref_rollout(model, w, 3)[:, 0] for w in test.windows])
+        for lead in (1, 3):
+            got = np.array([p for _, _, p in series[lead]])
+            expect = ds.normalizer.invert_target(want[:, lead - 1])
+            assert np.max(np.abs(got - expect)) <= 1e-12
+            assert [a for a, _, _ in series[lead]] == test.anchors
+        loop = evaluate_split(_RolloutLoop(model), ds, "test", [1, 3], r2_mode="standard")[0]
+        for lead in (1, 3):
+            for name in ("r2", "mae", "rmse", "mbe"):
+                assert abs(getattr(report.leads[lead], name)
+                           - getattr(loop.leads[lead], name)) <= 1e-12
+
+
+class _RolloutLoop:
+    """A model whose predict runs the per-window rollout oracle, one window
+    at a time."""
+
+    def __init__(self, model):
+        self.config, self._model = model.config, model
+
+    def predict(self, window, horizon):
+        return np.stack([ref_rollout(self._model, w, horizon) for w in window])
+
+
+class TestForwardBatchSize:
+    def test_sizes(self):
+        # the widest per-row array is the FFN hidden layer at both scales
+        assert forward_batch_size(ModelConfig(lookback=30, horizon=7)) == 68
+        assert forward_batch_size(DESK) == 2184
+        assert forward_batch_size(ModelConfig(d_model=4, n_heads=4, d_ffn=4,
+                                              lookback=20)) == FORWARD_BUDGET_BYTES // (
+            32 * 20 * 4 * 20)
+
+    def test_paper_scale_chunk_rollout_peak_under_budget(self):
+        cfg = ModelConfig(attention_mode="sparse", output_head="nonlinear",
+                          lookback=30, horizon=7)
+        model = TransformerModel(cfg, seed=0)
+        windows = np.random.default_rng(0).standard_normal(
+            (forward_batch_size(cfg), cfg.lookback, cfg.n_features))
+        tracemalloc.start()
+        try:
+            model.predict(windows, cfg.horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < FORWARD_BUDGET_BYTES
+
+    def test_split_loss_chunks_by_forward_batch_size(self, monkeypatch):
+        """Not by the tape budget: the loss pass records no tape."""
+        ds = small_dataset()
+        model = small_model(seed=10)
+        val = ds.split("val")
+        monkeypatch.setattr(training, "TAPE_BUDGET_BYTES", 1)
+        monkeypatch.setattr(training, "FORWARD_BUDGET_BYTES", 5 * 32 * 6 * 16)
+        calls = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda w, d: calls.append(len(w)) or forward(w, d))
+        loss = _split_loss(model, val, D.TARGET_INDEX)
+        assert len(calls) == -(-len(val.windows) // 5) and max(calls) == 5
+        want = np.mean([np.mean((forward(w, teacher_forced_input(w, t, D.TARGET_INDEX)).data
+                                 [:, 0] - t) ** 2) for w, t in zip(val.windows, val.targets)])
+        assert abs(loss - want) <= 1e-12
