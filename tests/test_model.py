@@ -141,6 +141,23 @@ class TestDecoder:
         # step t may (and generally does) change
         assert base[3, 0] != out[3, 0]
 
+    def test_batched_rows_reach_the_decoder_time_major(self):
+        cfg = tiny_config(horizon=3)
+        model = TransformerModel(cfg, seed=9)
+        rng = np.random.default_rng(9)
+        windows = rng.standard_normal((4, cfg.lookback, cfg.n_features))
+        dec = rng.standard_normal((4, 3, 1))
+        emb = model.embed_decoder(dec)
+        assert emb.data.shape == (3, 4, 8)
+        memory = model.encoder_forward(model.embed_encoder(windows))
+        out = model.decoder_forward(emb, memory).data
+        assert out.shape == (4, 3, 8)
+        for i in range(4):
+            one = model.decoder_forward(
+                model.embed_decoder(dec[i]),
+                model.encoder_forward(model.embed_encoder(windows[i]))).data
+            assert np.max(np.abs(out[i] - one)) <= 1e-12
+
 
 class TestOutputHead:
     def test_nonlinear_collapse_to_bias(self):

@@ -9,7 +9,7 @@ from hydroformer import tensor as T
 from hydroformer.tensor import (Tensor, activation, add, add_bias, backward,
                                 concat_cols, head_mix, head_scores, layer_norm,
                                 masked_softmax, matmul, mse, mul, no_grad, scale, sub,
-                                tensor_sum, transpose)
+                                swap_leading, tensor_sum, transpose)
 
 from _oracles import ref_masked_softmax
 
@@ -322,6 +322,15 @@ class TestBatched:
     def test_add_bias_rejects_non_trailing_shapes(self):
         with pytest.raises(ShapeError):
             add_bias(t(np.zeros((2, 3, 4))), t(np.zeros((2, 4))))
+
+    def test_swap_leading_grad(self):
+        rng = np.random.default_rng(39)
+        x, coef = rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, (3, 2, 4))
+        assert np.array_equal(swap_leading(t(x)).data, x.transpose(1, 0, 2))
+        fn = lambda ts: tensor_sum(mul(swap_leading(ts[0]), Tensor(coef)))
+        assert grad_check(fn, [x]).ok(1e-4)
+        with pytest.raises(ShapeError):
+            swap_leading(t(np.zeros((3, 4))))
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     def test_head_scores_grad(self, n_heads):
