@@ -1,8 +1,9 @@
 """Command-line front door: datagen | train | evaluate | predict | explain | bench.
 
-Config files are flat key = value text with dotted sections (model., train.,
-data., eval.); unknown keys are rejected. Every run directory receives
-the fully-resolved config for provenance.
+Config files are flat key = value text: one model.<field> or train.<field> key
+per ModelConfig or TrainConfig field, plus data.path and seed; unknown keys are
+rejected. Every run directory receives resolved_config.txt, which holds every
+key and can be passed back to train --config to repeat the run.
 """
 
 import argparse
@@ -32,9 +33,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig.desk_scale)
     train: TrainConfig = field(default_factory=TrainConfig)
     data_path: str = ""
-    leads: tuple = (1, 3, 5, 7)
-    r2_mode: str = "paper"
-    seed: int = 0
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
@@ -47,27 +45,20 @@ def _parse_bool(text):
         raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
-def _parse_leads(text):
-    return tuple(int(x) for x in text.split(","))
-
-
 def _parse_optional_int(text):
     return None if text.strip().lower() in ("none", "auto") else int(text)
 
 
-_KEY_PARSERS = {
-    "model.d_model": int, "model.n_heads": int, "model.n_encoder_layers": int,
-    "model.n_decoder_layers": int, "model.d_ffn": int,
-    "model.attention_mode": str, "model.k_sparse": _parse_optional_int,
-    "model.output_head": str, "model.head_activation": str,
-    "model.lookback": int, "model.horizon": int,
-    "train.batch_size": int, "train.learning_rate": float,
-    "train.max_epochs": int, "train.early_stop_patience": int,
-    "train.min_delta": float, "train.shuffle_train": _parse_bool,
-    "data.path": str,
-    "eval.leads": _parse_leads, "eval.r2_mode": str,
-    "seed": int,
-}
+_FIELD_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
+                  int | None: _parse_optional_int}
+
+# One key per ModelConfig and TrainConfig field, except model.n_features, which
+# the CSV schema fixes, and train.seed, which the top-level seed key sets.
+_KEY_PARSERS = {f"{section}.{f.name}": _FIELD_PARSERS[f.type]
+                for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+                for f in fields(cls)
+                if f"{section}.{f.name}" not in ("model.n_features", "train.seed")}
+_KEY_PARSERS.update({"data.path": str, "seed": int})
 
 
 def parse_config_text(text: str) -> dict:
@@ -92,33 +83,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_run_config(values: dict, seed_override=None) -> RunConfig:
-    model_kwargs = {}
-    train_kwargs = {}
-    cfg = RunConfig()
+    kwargs = {"model": {}, "train": {}}
     for key, val in values.items():
         section, _, name = key.partition(".")
-        if section == "model":
-            model_kwargs[name] = val
-        elif section == "train":
-            train_kwargs[name] = val
-        elif key == "data.path":
-            cfg.data_path = val
-        elif key == "eval.leads":
-            cfg.leads = val
-        elif key == "eval.r2_mode":
-            cfg.r2_mode = val
-        elif key == "seed":
-            cfg.seed = val
-    desk_defaults = {f.name: getattr(ModelConfig.desk_scale(), f.name)
-                     for f in fields(ModelConfig)}
-    desk_defaults.update(model_kwargs)
-    cfg.model = ModelConfig(**desk_defaults)
-    if seed_override is not None:
-        cfg.seed = seed_override
-    cfg.train = TrainConfig(seed=cfg.seed, **train_kwargs)
-    if cfg.r2_mode not in ("paper", "standard"):
-        raise ConfigError(f"eval.r2_mode must be paper or standard, got {cfg.r2_mode!r}")
-    return cfg
+        if section in kwargs:
+            kwargs[section][name] = val
+    seed = values.get("seed", TrainConfig.seed) if seed_override is None else seed_override
+    return RunConfig(model=ModelConfig.desk_scale(**kwargs["model"]),
+                     train=TrainConfig(seed=seed, **kwargs["train"]),
+                     data_path=values.get("data.path", ""))
 
 
 def load_run_config(path, seed_override=None) -> RunConfig:
@@ -130,16 +103,11 @@ def load_run_config(path, seed_override=None) -> RunConfig:
 
 
 def resolved_config_text(cfg: RunConfig) -> str:
-    lines = []
-    for name, val in sorted(asdict(cfg.model).items()):
-        lines.append(f"model.{name} = {val}")
-    for name, val in sorted(asdict(cfg.train).items()):
-        lines.append(f"train.{name} = {val}")
-    lines.append(f"data.path = {cfg.data_path}")
-    lines.append(f"eval.leads = {','.join(str(x) for x in cfg.leads)}")
-    lines.append(f"eval.r2_mode = {cfg.r2_mode}")
-    lines.append(f"seed = {cfg.seed}")
-    return "\n".join(lines) + "\n"
+    """Every config key with its value, sorted; the text parses back to cfg."""
+    values = {"data.path": cfg.data_path, "seed": cfg.train.seed}
+    values.update((f"model.{k}", v) for k, v in asdict(cfg.model).items())
+    values.update((f"train.{k}", v) for k, v in asdict(cfg.train).items())
+    return "".join(f"{key} = {values[key]}\n" for key in sorted(_KEY_PARSERS))
 
 
 def _load_dataset(cfg: RunConfig):
@@ -172,7 +140,7 @@ def cmd_train(args) -> int:
     out = _outdir(args)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
     dataset = _load_dataset(cfg)
-    model = TransformerModel(cfg.model, seed=cfg.seed)
+    model = TransformerModel(cfg.model, seed=cfg.train.seed)
     curve = fit(model, dataset, cfg.train)
     (out / "loss_curve.csv").write_text(curve.to_text(), encoding="utf-8")
     ckpt = out / "checkpoint.bin"
@@ -221,7 +189,7 @@ def cmd_predict(args) -> int:
     window = normalizer.apply(series.values[-lookback:])
     preds = normalizer.invert_target(model.predict(window, model.config.horizon).ravel())
     for step, val in enumerate(preds, start=1):
-        print(f"lead {step}: {val!r}")
+        print(f"lead {step}: {float(val)!r}")
     return EXIT_OK
 
 
@@ -247,7 +215,6 @@ def cmd_explain(args) -> int:
     dataset.normalizer = normalizer
     test = dataset.split("test")
     indices = _explain_instances(args, model, dataset)
-    out = _outdir(args)
 
     explanations = []
     raw_rows = []
@@ -261,6 +228,7 @@ def cmd_explain(args) -> int:
         explanations.append(e)
         raw_rows.append(normalizer.invert(test.windows[i])[-1])
 
+    out = _outdir(args)
     if args.instance is not None:
         text = explain_mod.force_report_to_text(explanations[0])
         (out / "force_report.txt").write_text(text, encoding="utf-8")
@@ -367,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--global", dest="global_mode", action="store_true",
                        help="global importance over a test sample")
     p.add_argument("--sample", type=_positive_int, default=64)
-    p.add_argument("--lead", type=int, default=1)
+    p.add_argument("--lead", type=_positive_int, default=1)
     p.add_argument("--estimator", default="sampled", choices=["exact", "sampled"])
-    p.add_argument("--permutations", type=int, default=20)
+    p.add_argument("--permutations", type=_int_at_least(2), default=20)
     p.add_argument("--allow-large-exact", dest="allow_large_exact",
                    action="store_true")
     p.add_argument("--seed", type=_seed, default=0)

@@ -3,6 +3,7 @@ normalization, and the synthetic stand-in generator used for verification."""
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,16 +37,28 @@ class RawSeries:
             raise DataError("dates / value rows length mismatch")
 
 
+def _csv_rows(path, f):
+    """The csv rows of an open text file; bytes that are not UTF-8 and fields
+    csv cannot read raise DataError."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
+    except csv.Error as e:
+        raise DataError(f"{path}:{reader.line_num}: {e}") from e
+
+
 def load_table(path) -> RawSeries:
     """Parse the delimited input format: header `date,<19 feature names>`,
-    ISO dates, empty field = missing."""
+    ISO dates, empty field = missing, every other field a finite number."""
     expected = ["date"] + list(FEATURE_COLUMNS)
     try:
         f = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from e
     with f:
-        reader = csv.reader(f)
+        reader = _csv_rows(path, f)
         try:
             header = next(reader)
         except StopIteration:
@@ -72,11 +85,14 @@ def load_table(path) -> RawSeries:
             for name, cell in zip(FEATURE_COLUMNS, row[1:]):
                 if cell.strip() == "":
                     vals.append(np.nan)
-                else:
-                    try:
-                        vals.append(float(cell))
-                    except ValueError as e:
-                        raise DataError(f"{path}:{lineno}: bad value {cell!r} in {name}") from e
+                    continue
+                try:
+                    val = float(cell)
+                except ValueError:
+                    val = math.nan
+                if not math.isfinite(val):
+                    raise DataError(f"{path}:{lineno}: bad value {cell!r} in {name}")
+                vals.append(val)
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -333,8 +333,8 @@ def _normalizer_from_header(entry, n_features: int) -> Normalizer:
 
 
 def load_checkpoint(path):
-    """Returns (model, normalizer); normalizer may be None. A malformed file
-    raises DataError."""
+    """Returns (model, normalizer); normalizer may be None. A malformed file,
+    or one whose parameters hold NaN or inf, raises DataError."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -358,7 +358,10 @@ def load_checkpoint(path):
             buf = f.read(n_bytes)
             if len(buf) != n_bytes:
                 raise DataError("checkpoint truncated")
-            state[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise DataError(f"checkpoint parameter {entry['name']} holds non-finite values")
+            state[entry["name"]] = arr
         if f.read(1):
             raise DataError("checkpoint has bytes after the last parameter buffer")
         model.load_state_arrays(state)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hydroformer import cli
 from hydroformer import data as D
 from hydroformer.errors import ConfigError, DataError
 from hydroformer.model import ModelConfig, TransformerModel, save_checkpoint
+from hydroformer.training import TrainConfig
 
 
 TINY_CONFIG = """
@@ -27,7 +30,6 @@ model.horizon = 2
 data.path = data.csv
 train.max_epochs = 1
 train.learning_rate = 0.001
-eval.leads = 1,2
 seed = 3
 """
 
@@ -71,21 +73,16 @@ class TestConfigParsing:
     def test_build_run_config_sections(self):
         cfg = cli.build_run_config(cli.parse_config_text(
             "model.d_model = 16\nmodel.n_heads = 2\ntrain.batch_size = 8\n"
-            "model.lookback = 9\neval.r2_mode = standard\nseed = 11"))
+            "model.lookback = 9\nseed = 11"))
         assert cfg.model.d_model == 16
         assert cfg.model.lookback == 9
         assert cfg.train.batch_size == 8
         assert cfg.train.seed == 11
-        assert cfg.r2_mode == "standard"
 
     @pytest.mark.parametrize("line", ["data.lookback = 9", "data.horizon = 3"])
     def test_data_section_model_aliases_rejected(self, line):
         with pytest.raises(ConfigError, match="unknown key"):
             cli.parse_config_text(line)
-
-    def test_bad_r2_mode(self):
-        with pytest.raises(ConfigError):
-            cli.build_run_config({"eval.r2_mode": "adjusted"})
 
     @pytest.mark.parametrize("text", ["seed = -1", "train.learning_rate = nan",
                                       "train.learning_rate = inf", "train.min_delta = nan"])
@@ -100,11 +97,14 @@ class TestConfigParsing:
     def test_resolved_round_trips(self):
         cfg = cli.build_run_config(cli.parse_config_text("model.d_model = 16\nmodel.n_heads = 2"))
         text = cli.resolved_config_text(cfg)
-        again = cli.build_run_config(cli.parse_config_text(
-            "\n".join(line for line in text.splitlines()
-                      if line.startswith(("model.", "seed"))
-                      and not line.startswith("model.n_features"))))
-        assert again.model == cfg.model
+        assert cli.build_run_config(cli.parse_config_text(text)) == cfg
+        assert [line.split(" = ")[0] for line in text.splitlines()] == sorted(cli._KEY_PARSERS)
+
+    def test_keys_are_the_config_fields(self):
+        keys = {f"model.{f.name}" for f in fields(ModelConfig)}
+        keys |= {f"train.{f.name}" for f in fields(TrainConfig)}
+        keys -= {"model.n_features", "train.seed"}
+        assert set(cli._KEY_PARSERS) == keys | {"data.path", "seed"}
 
 
 class TestDatagen:
@@ -158,8 +158,9 @@ class TestTrainEvaluate:
                        "--data", str(trained_run["data"])])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("lead 1:")
-        assert lines[1].startswith("lead 2:")
+        assert [line.split(":")[0] for line in lines] == ["lead 1", "lead 2"]
+        for line in lines:
+            assert math.isfinite(float(line.split(":")[1]))
 
     def test_corrupt_checkpoint_is_data_error(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -169,26 +170,33 @@ class TestTrainEvaluate:
         assert rc == cli.EXIT_DATA
 
 
-@pytest.mark.parametrize("corrupt, trailing", [
-    (lambda h: h["config"].update(dropout=0.1), b""),
-    (lambda h: h["config"].pop("d_ffn"), b""),
-    (lambda h: h["config"].update(attention_mode="banded"), b""),
-    (lambda h: h["config"].update(d_model="eight"), b""),
-    (lambda h: h.pop("config"), b""),
-    (lambda h: h.pop("params"), b""),
-    (lambda h: h.pop("normalizer"), b""),
-    (lambda h: None, b"\x00"),
-    (lambda h: h["normalizer"]["mean"].pop(), b""),
-    (lambda h: h.update(format_version=1), b""),
+_NAN = np.float64(np.nan).tobytes()
+_NEG_INF = np.float64(-np.inf).tobytes()
+
+
+@pytest.mark.parametrize("corrupt, edit_body", [
+    (lambda h: h["config"].update(dropout=0.1), bytes),
+    (lambda h: h["config"].pop("d_ffn"), bytes),
+    (lambda h: h["config"].update(attention_mode="banded"), bytes),
+    (lambda h: h["config"].update(d_model="eight"), bytes),
+    (lambda h: h.pop("config"), bytes),
+    (lambda h: h.pop("params"), bytes),
+    (lambda h: h.pop("normalizer"), bytes),
+    (lambda h: None, lambda b: b + b"\x00"),
+    (lambda h: h["normalizer"]["mean"].pop(), bytes),
+    (lambda h: h.update(format_version=1), bytes),
+    (lambda h: None, lambda b: _NAN + b[8:]),
+    (lambda h: None, lambda b: b[:-8] + _NEG_INF),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "missing_config", "missing_params", "missing_normalizer",
-        "trailing_bytes", "normalizer_length", "v1_header"])
-def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, trailing):
+        "trailing_bytes", "normalizer_length", "v1_header", "nan_first_param",
+        "inf_last_param"])
+def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, edit_body):
     header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
     header = json.loads(header_line)
     corrupt(header)
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(json.dumps(header).encode() + b"\n" + body + trailing)
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + edit_body(body))
     rc = cli.main(["predict", "--checkpoint", str(bad), "--data", str(trained_run["data"])])
     assert rc == cli.EXIT_DATA
     assert "checkpoint" in capsys.readouterr().err
@@ -209,6 +217,67 @@ def test_checkpoint_with_other_feature_count_is_data_error(trained_run, tmp_path
     argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
     assert cli.main(argv) == cli.EXIT_DATA
     assert "5 features" in capsys.readouterr().err
+
+
+def test_train_replays_its_resolved_config(trained_run, tmp_path, capsys):
+    out = trained_run["out"]
+    replay = tmp_path / "replay"
+    assert cli.main(["train", "--config", str(out / "resolved_config.txt"),
+                     "--out", str(replay)]) == 0
+    assert ((replay / "resolved_config.txt").read_bytes()
+            == (out / "resolved_config.txt").read_bytes())
+    digests = [hashlib.sha256((d / "checkpoint.bin").read_bytes()).hexdigest()
+               for d in (out, replay)]
+    assert digests[0] == digests[1]
+
+
+def _desk_csv_lines(trained_run):
+    return trained_run["data"].read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:5] + [lines[5].replace(",", ",\udcff", 1)] + lines[6:],
+     "not UTF-8"),
+    (lambda lines: lines[:5] + ['"' + "9" * 131073 + '"' + lines[5][lines[5].index(","):]]
+     + lines[6:], "field larger"),
+    (lambda lines: lines + ["2099-01-01,inf" + ",1.0" * 18 + "\n"], "bad value 'inf' in tm"),
+    (lambda lines: lines + ["2099-01-01,1.0,-inf" + ",1.0" * 17 + "\n"], "'-inf' in pre"),
+    (lambda lines: lines + ["2099-01-01" + ",1.0" * 18 + ",nan\n"], "'nan' in tc_pre"),
+    (lambda lines: lines + ["2099-01-01" + ",1.0" * 7 + ",1e999" + ",1.0" * 11 + "\n"],
+     "'1e999' in ch_wl"),
+], ids=["not_utf8", "field_over_limit", "inf", "neg_inf", "nan", "overflow"])
+def test_unreadable_csv_is_data_error(trained_run, tmp_path, capsys, edit, message):
+    bad = tmp_path / "bad.csv"
+    # surrogateescape writes "\udcff" as the lone byte 0xff
+    bad.write_bytes("".join(edit(_desk_csv_lines(trained_run))).encode("utf-8",
+                                                                        "surrogateescape"))
+    rc = cli.main(["predict", "--checkpoint", str(trained_run["checkpoint"]),
+                   "--data", str(bad)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.data())
+def test_predict_on_damaged_csv_exits_cleanly(trained_run, edits):
+    """Byte flips, cuts and inserted bytes in a valid CSV end in exit 0, 3
+    or 4, never an exception."""
+    blob = bytearray("".join(_desk_csv_lines(trained_run)).encode("utf-8"))
+    for _ in range(edits.draw(st.integers(1, 3))):
+        pos = edits.draw(st.integers(0, len(blob)))
+        kind = edits.draw(st.sampled_from(["flip", "cut", "insert"]))
+        if kind == "flip" and pos < len(blob):
+            blob[pos] ^= 1 << edits.draw(st.integers(0, 7))
+        elif kind == "cut":
+            del blob[pos:]
+        else:
+            blob[pos:pos] = edits.draw(st.binary(min_size=1, max_size=8))
+    path = trained_run["data"].with_name("damaged.csv")
+    path.write_bytes(bytes(blob))
+    rc = cli.main(["predict", "--checkpoint", str(trained_run["checkpoint"]),
+                   "--data", str(path)])
+    assert rc in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC)
 
 
 class TestExplainCommand:
@@ -247,6 +316,14 @@ class TestExplainCommand:
                       "--estimator", "exact", "--exact-cap", "20",
                       "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_lead_beyond_horizon_is_config_error(self, trained_run, tmp_path, capsys):
+        rc = cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                       "--data", str(trained_run["data"]), "--global", "--sample", "1",
+                       "--lead", "3", "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_CONFIG
+        assert "lead 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_instance_date_is_data_error(self, trained_run, tmp_path, capsys):
         rc = cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
@@ -293,8 +370,9 @@ def test_config_text_fuzz(text):
         cfg = cli.build_run_config(cli.parse_config_text(text))
     except (ConfigError, DataError):
         return
-    assert cfg.train.seed == cfg.seed >= 0
+    assert cfg.train.seed >= 0
     assert math.isfinite(cfg.train.learning_rate) and math.isfinite(cfg.train.min_delta)
+    assert cli.build_run_config(cli.parse_config_text(cli.resolved_config_text(cfg))) == cfg
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -302,6 +380,8 @@ def test_config_text_fuzz(text):
     (["explain", "--global", "--sample", "0", "--out", "OUT"], "--sample"),
     (["explain", "--global", "--sample", "-3", "--out", "OUT"], "--sample"),
     (["explain", "--instance", "2020-13-01", "--out", "OUT"], "--instance"),
+    (["explain", "--global", "--lead", "0", "--out", "OUT"], "--lead"),
+    (["explain", "--global", "--permutations", "1", "--out", "OUT"], "--permutations"),
     (["bench", "--lengths", "0"], "--lengths"),
     (["bench", "--ks", "L/0"], "--ks"),
     (["bench", "--repeats", "0"], "--repeats"),
@@ -310,7 +390,8 @@ def test_config_text_fuzz(text):
     (["datagen", "--seed", "-1", "--out", "OUT"], "--seed"),
     (["train", "--config", "CONFIG", "--seed", "-1", "--out", "OUT"], "--seed"),
     (["explain", "--global", "--seed", "-1", "--out", "OUT"], "--seed"),
-], ids=["leads", "sample_zero", "sample_negative", "instance_date", "bench_lengths",
+], ids=["leads", "sample_zero", "sample_negative", "instance_date", "explain_lead",
+        "explain_permutations", "bench_lengths",
         "bench_ks", "bench_repeats", "bench_k_zero", "bench_d_k", "datagen_seed",
         "train_seed", "explain_seed"])
 def test_bad_option_value_exits_2_with_message(trained_run, tmp_path, capsys, argv, option):
