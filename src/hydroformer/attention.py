@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeError
-from .tensor import Tensor, head_mix, head_scores, masked_softmax, matmul, scale
+from .tensor import Tensor, head_mix, head_scores, last_row, masked_softmax, matmul, scale
 
 
 def default_k(length: int) -> int:
@@ -85,9 +85,19 @@ def sparse_attention(q: Tensor, k: Tensor, v: Tensor, k_sparse: int,
 
 
 def multi_head(q_in: Tensor, k_in: Tensor, v_in: Tensor, weights, n_heads: int,
-               k_sparse: int | None = None, causal: bool = False) -> Tensor:
+               k_sparse: int | None = None, causal: bool = False,
+               newest_only: bool = False) -> Tensor:
     """weights = (wq, wk, wv, wo), each d x d; head h projects with column
-    block h of wq, wk and wv. k_sparse None is dense attention."""
+    block h of wq, wk and wv. k_sparse None is dense attention.
+
+    wk and wv None take k_in and v_in as keys and values already projected,
+    as a cross-attention K/V made once per rollout. newest_only emits the
+    last query row alone, (..., 1, d): it attends to every key row, which is
+    its row of the causal mask, so no mask is built, and its top-k runs over
+    the same keys as in the full pass."""
     wq, wk, wv, wo = weights
-    return matmul(_attend(matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv),
-                          k_sparse, causal, n_heads), wo)
+    if newest_only:
+        q_in, causal = last_row(q_in), False
+    k = k_in if wk is None else matmul(k_in, wk)
+    v = v_in if wv is None else matmul(v_in, wv)
+    return matmul(_attend(matmul(q_in, wq), k, v, k_sparse, causal, n_heads), wo)

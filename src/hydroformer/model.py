@@ -10,9 +10,9 @@ import numpy as np
 
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
-from .errors import ConfigError, DataError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, layer_norm, matmul,
-                     no_grad, swap_leading)
+from .errors import ConfigError, DataError, NumericError, ShapeError
+from .tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, last_row, layer_norm,
+                     matmul, no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -174,32 +174,57 @@ class TransformerModel:
 
     # -- forward pieces -----------------------------------------------------
 
+    # Each piece re-raises a NumericError with its layer name in front, e.g.
+    # "dec.1.cross_attn: matmul produced non-finite values"; a try block
+    # costs nothing while no exception is raised.
+
     def _ln(self, prefix, x):
-        return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
+        try:
+            return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
+        except NumericError as e:
+            raise NumericError(f"{prefix}: {e}") from e
 
     def _ffn(self, prefix, x):
         p = self.params
-        h = activation(add_bias(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]), "relu")
-        return add_bias(matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        try:
+            h = activation(add_bias(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]), "relu")
+            return add_bias(matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+        except NumericError as e:
+            raise NumericError(f"{prefix}: {e}") from e
 
-    def _mha(self, prefix, q_in, kv_in, causal=False):
-        """Self-attention passes one Tensor as q_in and kv_in: perfbench's
-        tracer tells self from cross attention by that identity."""
-        weights = tuple(self.params[f"{prefix}.{w}"] for w in ("wq", "wk", "wv", "wo"))
-        return multi_head(q_in, kv_in, kv_in, weights, self.config.n_heads,
-                          self.config.effective_k(kv_in.data.shape[-2]), causal)
+    def _mha(self, prefix, q_in, kv, causal=False, newest_only=False):
+        """kv is the Tensor that self-attention projects to K and V, passed
+        as the same Tensor as q_in (perfbench's tracer tells self from cross
+        attention by that identity), or a cross-attention (K, V) pair from
+        cross_kv, already projected."""
+        p = self.params
+        if isinstance(kv, Tensor):
+            k_in = v_in = kv
+            wk, wv = p[f"{prefix}.wk"], p[f"{prefix}.wv"]
+        else:
+            (k_in, v_in), wk, wv = kv, None, None
+        weights = (p[f"{prefix}.wq"], wk, wv, p[f"{prefix}.wo"])
+        try:
+            return multi_head(q_in, k_in, v_in, weights, self.config.n_heads,
+                              self.config.effective_k(k_in.data.shape[-2]), causal,
+                              newest_only)
+        except NumericError as e:
+            raise NumericError(f"{prefix}: {e}") from e
 
-    def _embed(self, x: Tensor, name: str) -> Tensor:
+    def _embed(self, x: Tensor, prefix: str) -> Tensor:
         """x @ W plus the positional table, which broadcasts over a batch."""
-        emb = matmul(x, self.params[name])
-        return add_bias(emb, Tensor(self.pe.slice(x.data.shape[-2])))
+        try:
+            emb = matmul(x, self.params[f"{prefix}.w"])
+            return add_bias(emb, Tensor(self.pe.slice(x.data.shape[-2])))
+        except NumericError as e:
+            raise NumericError(f"{prefix}: {e}") from e
 
     def embed_encoder(self, window) -> Tensor:
         x = window if isinstance(window, Tensor) else Tensor(window)
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_features:
             raise ShapeError(f"window shape {x.data.shape}: need L x n_features "
                              f"(n_features {self.config.n_features}), optionally batched")
-        return self._embed(x, "enc_embed.w")
+        return self._embed(x, "enc_embed")
 
     def embed_decoder(self, decoder_in) -> Tensor:
         """H x 1 or B x H x 1 target values to embedded rows, handed to
@@ -209,7 +234,7 @@ class TransformerModel:
         y = decoder_in if isinstance(decoder_in, Tensor) else Tensor(decoder_in)
         if y.data.ndim not in (2, 3) or y.data.shape[-1] != 1:
             raise ShapeError(f"decoder input must be Hx1 or BxHx1, got {y.data.shape}")
-        emb = self._embed(y, "dec_embed.w")
+        emb = self._embed(y, "dec_embed")
         return swap_leading(emb) if emb.data.ndim == 3 else emb
 
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
@@ -219,31 +244,58 @@ class TransformerModel:
             x = self._ln(f"enc.{i}.ln2", add(h, self._ffn(f"enc.{i}.ffn", h)))
         return x
 
-    def decoder_forward(self, y_emb: Tensor, memory: Tensor) -> Tensor:
-        """y_emb time-major as embed_decoder returns it; returns H x d or
-        B x H x d decoder states."""
-        y = swap_leading(y_emb) if y_emb.data.ndim == 3 else y_emb
+    def cross_kv(self, memory: Tensor) -> list:
+        """The encoder memory projected to cross-attention K and V, one
+        (K, V) pair per decoder layer, for decoder_forward. A rollout makes
+        them once and every step reuses them."""
+        p, pairs = self.params, []
         for i in range(self.config.n_decoder_layers):
-            y = self._ln(f"dec.{i}.ln1",
-                         add(y, self._mha(f"dec.{i}.self_attn", y, y, causal=True)))
-            y = self._ln(f"dec.{i}.ln2", add(y, self._mha(f"dec.{i}.cross_attn", y, memory)))
+            prefix = f"dec.{i}.cross_attn"
+            try:
+                pairs.append((matmul(memory, p[f"{prefix}.wk"]),
+                              matmul(memory, p[f"{prefix}.wv"])))
+            except NumericError as e:
+                raise NumericError(f"{prefix}: {e}") from e
+        return pairs
+
+    def decoder_forward(self, y_emb: Tensor, memory_kv, newest_only: bool = False) -> Tensor:
+        """y_emb time-major as embed_decoder returns it, memory_kv as
+        cross_kv returns it; returns H x d or B x H x d decoder states.
+
+        newest_only returns the newest row's state alone (1 x d or
+        B x 1 x d), which is all a rollout step reads. The last layer then
+        takes its self-attention query, residual, cross-attention and FFN
+        for that row only; every lower layer still runs over all rows,
+        because the newest row attends to their outputs. Teacher forcing
+        keeps all rows."""
+        y = swap_leading(y_emb) if y_emb.data.ndim == 3 else y_emb
+        n = self.config.n_decoder_layers
+        for i in range(n):
+            newest = newest_only and i == n - 1
+            attn = self._mha(f"dec.{i}.self_attn", y, y, causal=True, newest_only=newest)
+            y = self._ln(f"dec.{i}.ln1", add(last_row(y) if newest else y, attn))
+            y = self._ln(f"dec.{i}.ln2", add(y, self._mha(f"dec.{i}.cross_attn", y,
+                                                          memory_kv[i])))
             y = self._ln(f"dec.{i}.ln3", add(y, self._ffn(f"dec.{i}.ffn", y)))
         return y
 
     def output_head(self, d: Tensor) -> Tensor:
         p = self.params
-        if self.config.output_head == "linear":
-            return add_bias(matmul(d, p["head.w"]), p["head.b"])
-        hidden = activation(add_bias(matmul(d, p["head.w1"]), p["head.b1"]),
-                            self.config.head_activation)
-        return add_bias(matmul(hidden, p["head.w2"]), p["head.b2"])
+        try:
+            if self.config.output_head == "linear":
+                return add_bias(matmul(d, p["head.w"]), p["head.b"])
+            hidden = activation(add_bias(matmul(d, p["head.w1"]), p["head.b1"]),
+                                self.config.head_activation)
+            return add_bias(matmul(hidden, p["head.w2"]), p["head.b2"])
+        except NumericError as e:
+            raise NumericError(f"head: {e}") from e
 
     def forward(self, window, decoder_in) -> Tensor:
         """Teacher-forced forward: window is lookback x n_features, decoder_in
         is H x 1 target-channel values; returns H x 1 predictions. With a
         leading batch axis on both inputs, returns B x H x 1."""
         memory = self.encoder_forward(self.embed_encoder(window))
-        dec = self.decoder_forward(self.embed_decoder(decoder_in), memory)
+        dec = self.decoder_forward(self.embed_decoder(decoder_in), self.cross_kv(memory))
         return self.output_head(dec)
 
     def predict(self, window, horizon: int) -> np.ndarray:
@@ -251,16 +303,22 @@ class TransformerModel:
         is the last observed target value in the window; each prediction is
         fed back as the next decoder input. One L x F window returns a
         (horizon, 1) array; a B x L x F stack runs as one batch through the
-        same ops and returns B x horizon x 1. Records no tape."""
+        same ops and returns B x horizon x 1. Records no tape.
+
+        The memory's cross-attention K/V are made once per rollout. Each
+        step runs the decoder over the whole prefix, since in sparse mode
+        the lower layers' rows change with k = effective_k(prefix), and the
+        last layer and the head over the newest row only."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = np.asarray(window, dtype=np.float64)
         with no_grad():
-            memory = self.encoder_forward(self.embed_encoder(window))
+            memory_kv = self.cross_kv(self.encoder_forward(self.embed_encoder(window)))
             dec = window[..., -1:, TARGET_INDEX, None]        # (..., 1, 1) start token
-            for t in range(horizon):
-                out = self.output_head(self.decoder_forward(self.embed_decoder(dec), memory))
-                dec = np.concatenate((dec, out.data[..., t:t + 1, :]), axis=-2)
+            for _ in range(horizon):
+                state = self.decoder_forward(self.embed_decoder(dec), memory_kv,
+                                             newest_only=True)
+                dec = np.concatenate((dec, self.output_head(state).data), axis=-2)
         return dec[..., 1:, :]
 
     # -- state --------------------------------------------------------------
@@ -351,19 +409,20 @@ def load_checkpoint(path):
         model = TransformerModel(_config_from_header(header["config"]), seed=None)
         if header["params"] != _manifest(model):
             raise DataError("checkpoint parameter manifest does not match its config")
-        state = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            n_bytes = int(np.prod(shape)) * 8
-            buf = f.read(n_bytes)
-            if len(buf) != n_bytes:
-                raise DataError("checkpoint truncated")
-            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        # every buffer in one read; each parameter is a view of the array
+        shapes = [tuple(entry["shape"]) for entry in header["params"]]
+        flat = np.empty(sum(math.prod(s) for s in shapes), dtype="<f8")
+        if f.readinto(flat) != flat.nbytes:
+            raise DataError("checkpoint truncated")
+        if f.read(1):
+            raise DataError("checkpoint has bytes after the last parameter buffer")
+        state, start = {}, 0
+        for entry, shape in zip(header["params"], shapes):
+            arr = flat[start:start + math.prod(shape)].reshape(shape)
+            start += arr.size
             if not np.isfinite(arr).all():
                 raise DataError(f"checkpoint parameter {entry['name']} holds non-finite values")
             state[entry["name"]] = arr
-        if f.read(1):
-            raise DataError("checkpoint has bytes after the last parameter buffer")
         model.load_state_arrays(state)
     norm = None
     if header["normalizer"] is not None:

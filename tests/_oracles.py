@@ -80,14 +80,16 @@ def ref_rollout(model, window, horizon):
     """A model's greedy rollout for one L x F window, one step at a time with
     the decoder input rebuilt from a list of floats (H x 1). Unlike the
     references above it runs the model's own forward pieces: it is the oracle
-    for the rollout loop, not for the layers."""
+    for the rollout loop, not for the layers. Every step projects the memory
+    to cross-attention K/V again and runs every decoder row through every
+    layer and the head."""
     with no_grad():
         memory = model.encoder_forward(model.embed_encoder(window))
         dec = [float(window[-1, TARGET_INDEX])]
         preds = []
         for t in range(horizon):
             emb = model.embed_decoder(np.array(dec, dtype=np.float64)[:, None])
-            out = model.output_head(model.decoder_forward(emb, memory))
+            out = model.output_head(model.decoder_forward(emb, model.cross_kv(memory)))
             preds.append(float(out.data[t, 0]))
             dec.append(preds[-1])
     return np.array(preds)[:, None]

@@ -253,6 +253,31 @@ class TestMultiHead:
                              kk=k_sparse, causal=causal)
         assert np.max(np.abs(out.data - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("k_sparse", [None, 1, 2, 9])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_newest_row_and_projected_kv_match_oracle(self, n_heads, k_sparse, batch):
+        """newest_only gives the last row of the causal self-attention
+        oracle; keys and values projected before the call (wk, wv None)
+        give the cross-attention oracle."""
+        rng = np.random.default_rng(30 + n_heads)
+        d = 8
+        params = self._params(rng, d)
+        wq, wk, wv = (np.hsplit(w.data, n_heads) for w in params[:3])
+        wo = params[3].data
+        x, memory = rng.standard_normal(batch + (6, d)), rng.standard_normal(batch + (7, d))
+        newest = multi_head(t(x), t(x), t(x), params, n_heads, k_sparse=k_sparse,
+                            causal=True, newest_only=True).data
+        k, v = t(memory @ params[1].data), t(memory @ params[2].data)
+        cross = multi_head(t(x), k, v, (params[0], None, None, params[3]), n_heads,
+                           k_sparse=k_sparse).data
+        assert newest.shape == batch + (1, d)
+        for i in np.ndindex(batch):
+            want = ref_multi_head(x[i], x[i], x[i], wq, wk, wv, wo, kk=k_sparse, causal=True)
+            assert np.max(np.abs(newest[i] - want[-1:])) <= 1e-12
+            want = ref_multi_head(x[i], memory[i], memory[i], wq, wk, wv, wo, kk=k_sparse)
+            assert np.max(np.abs(cross[i] - want)) <= 1e-12
+
     def test_causal_future_invariance(self):
         rng = np.random.default_rng(18)
         d = 4

@@ -16,7 +16,7 @@ import hydroformer
 from hydroformer import cli
 from hydroformer import data as D
 from hydroformer.errors import ConfigError, DataError
-from hydroformer.model import ModelConfig, TransformerModel, save_checkpoint
+from hydroformer.model import ModelConfig, TransformerModel, load_checkpoint, save_checkpoint
 from hydroformer.training import TrainConfig
 
 
@@ -200,6 +200,21 @@ def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corru
     rc = cli.main(["predict", "--checkpoint", str(bad), "--data", str(trained_run["data"])])
     assert rc == cli.EXIT_DATA
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_numeric_error_names_the_layer(trained_run, tmp_path, capsys):
+    model, norm = load_checkpoint(trained_run["checkpoint"])
+    wq = model.params["dec.1.cross_attn.wq"]
+    wq.data = np.full_like(wq.data, 1e308)
+    huge = tmp_path / "huge.bin"
+    save_checkpoint(model, norm, huge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["predict", "--checkpoint", str(huge), "--data",
+                       str(trained_run["data"])])
+    assert rc == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: dec.1.cross_attn: ")
+    assert "produced non-finite values" in err
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydroformer import attention as attention_mod
 from hydroformer import data as D
 from hydroformer import model as model_mod
 from hydroformer.attention import dense_attention, multi_head
 from hydroformer.errors import ConfigError, DataError, ShapeError
 from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
                                checkpoint_digest, load_checkpoint, save_checkpoint)
-from hydroformer.tensor import Tensor, add, backward, layer_norm, mse
+from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse
 
 from _oracles import ref_layer_norm, ref_rollout
 
@@ -122,7 +123,8 @@ class TestDecoder:
         model = TransformerModel(cfg, seed=4)
         rng = np.random.default_rng(4)
         memory = model.encoder_forward(model.embed_encoder(rand_window(rng, cfg)))
-        out = model.decoder_forward(model.embed_decoder(np.array([[0.3]])), memory)
+        out = model.decoder_forward(model.embed_decoder(np.array([[0.3]])),
+                                    model.cross_kv(memory))
         assert out.data.shape == (1, 8)
 
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
@@ -141,6 +143,40 @@ class TestDecoder:
         # step t may (and generally does) change
         assert base[3, 0] != out[3, 0]
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_matches_hand_assembled_layers(self, mode, batch):
+        """Teacher-forced decoder_forward equals its layers assembled by hand
+        from multi_head (memory projected inside it), layer_norm and _ffn;
+        newest_only gives the last row of the same states."""
+        cfg = tiny_config(horizon=5, n_heads=2, attention_mode=mode)
+        model = TransformerModel(cfg, seed=23)
+        rng = np.random.default_rng(23)
+        windows = rng.standard_normal(batch + (cfg.lookback, cfg.n_features))
+        memory = model.encoder_forward(model.embed_encoder(windows))
+        emb = model.embed_decoder(rng.standard_normal(batch + (5, 1)))
+        out = model.decoder_forward(emb, model.cross_kv(memory))
+        newest = model.decoder_forward(emb, model.cross_kv(memory), newest_only=True)
+
+        p = model.params
+        y = Tensor(emb.data.swapaxes(0, 1) if batch else emb.data)
+        for i in range(cfg.n_decoder_layers):
+            def block(name):
+                return tuple(p[f"dec.{i}.{name}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+
+            def ln(name, x):
+                return layer_norm(x, p[f"dec.{i}.{name}.gamma"], p[f"dec.{i}.{name}.beta"])
+
+            attn = multi_head(y, y, y, block("self_attn"), 2, cfg.effective_k(5), causal=True)
+            y = ln("ln1", add(y, attn))
+            cross = multi_head(y, memory, memory, block("cross_attn"), 2,
+                               cfg.effective_k(cfg.lookback))
+            y = ln("ln2", add(y, cross))
+            y = ln("ln3", add(y, model._ffn(f"dec.{i}.ffn", y)))
+        assert np.max(np.abs(out.data - y.data)) <= 1e-12
+        assert newest.data.shape == batch + (1, cfg.d_model)
+        assert np.max(np.abs(newest.data - y.data[..., -1:, :])) <= 1e-12
+
     def test_batched_rows_reach_the_decoder_time_major(self):
         cfg = tiny_config(horizon=3)
         model = TransformerModel(cfg, seed=9)
@@ -150,12 +186,12 @@ class TestDecoder:
         emb = model.embed_decoder(dec)
         assert emb.data.shape == (3, 4, 8)
         memory = model.encoder_forward(model.embed_encoder(windows))
-        out = model.decoder_forward(emb, memory).data
+        out = model.decoder_forward(emb, model.cross_kv(memory)).data
         assert out.shape == (4, 3, 8)
         for i in range(4):
             one = model.decoder_forward(
                 model.embed_decoder(dec[i]),
-                model.encoder_forward(model.embed_encoder(windows[i]))).data
+                model.cross_kv(model.encoder_forward(model.embed_encoder(windows[i])))).data
             assert np.max(np.abs(out[i] - one)) <= 1e-12
 
 
@@ -288,15 +324,18 @@ class TestPredict:
 @given(batch=st.integers(1, 5), n_heads=st.sampled_from([1, 2, 4]),
        mode=st.sampled_from(["dense", "sparse"]), k=st.one_of(st.none(), st.integers(1, 8)),
        head=st.sampled_from(["linear", "nonlinear"]), horizon=st.integers(1, 5),
-       steps=st.data(), seed=st.integers(0, 2**16))
+       n_decoder_layers=st.integers(1, 3), steps=st.data(), seed=st.integers(0, 2**16))
 def test_batched_predict_matches_per_window_rollout(batch, n_heads, mode, k, head, horizon,
-                                                    steps, seed):
-    """A stacked rollout matches the per-window rollout oracle for every
-    window to <= 1e-12, and a single window's rollout equals it bit for bit.
-    k None in sparse mode is ceil(prefix / 4), which grows with the prefix."""
+                                                    n_decoder_layers, steps, seed):
+    """A stacked rollout and a single window's rollout match the per-window
+    rollout oracle, which recomputes every row and projection at every step,
+    to <= 1e-12 (the newest-row GEMMs of the last decoder layer round
+    differently from the oracle's full-prefix GEMMs). k None in sparse mode
+    is ceil(prefix / 4), which grows with the prefix; with one decoder layer
+    the newest-row layer is also the first."""
     cfg = ModelConfig(d_model=8, n_heads=n_heads, d_ffn=16, lookback=6, horizon=horizon,
-                      attention_mode=mode, k_sparse=k if mode == "sparse" else None,
-                      output_head=head)
+                      n_decoder_layers=n_decoder_layers, attention_mode=mode,
+                      k_sparse=k if mode == "sparse" else None, output_head=head)
     model = TransformerModel(cfg, seed=seed)
     windows = np.random.default_rng(seed).standard_normal((batch, 6, cfg.n_features))
     h = steps.draw(st.integers(1, horizon))
@@ -305,7 +344,36 @@ def test_batched_predict_matches_per_window_rollout(batch, n_heads, mode, k, hea
     for i in range(batch):
         want = ref_rollout(model, windows[i], h)
         assert np.max(np.abs(stacked[i] - want)) <= 1e-12
-        assert np.array_equal(model.predict(windows[i], h), want)
+        assert np.max(np.abs(model.predict(windows[i], h) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_decoder_layers", [1, 2, 3])
+@pytest.mark.parametrize("horizon", [1, 2, 5])
+def test_predict_projects_memory_once_per_rollout(monkeypatch, horizon, n_decoder_layers):
+    """matmul reads the encoder memory 2 x n_decoder_layers times per
+    predict (cross-attention K and V), whatever the horizon."""
+    cfg = tiny_config(horizon=horizon, n_decoder_layers=n_decoder_layers,
+                      attention_mode="sparse")
+    model = TransformerModel(cfg, seed=22)
+    memories, reads = [], []
+    encoder_forward = TransformerModel.encoder_forward
+
+    def keep_memory(self, x_emb):
+        memories.append(encoder_forward(self, x_emb))
+        return memories[-1]
+
+    def counting(a, b):
+        reads.extend(m for m in memories if a is m)
+        return matmul(a, b)
+
+    monkeypatch.setattr(TransformerModel, "encoder_forward", keep_memory)
+    monkeypatch.setattr(model_mod, "matmul", counting)
+    monkeypatch.setattr(attention_mod, "matmul", counting)
+    windows = np.random.default_rng(22).standard_normal((3, cfg.lookback, cfg.n_features))
+    for x in (windows, windows[0]):
+        reads.clear()
+        model.predict(x, horizon)
+        assert len(reads) == 2 * n_decoder_layers
 
 
 class TestParameters:
