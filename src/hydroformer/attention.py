@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeError
-from .tensor import Tensor, head_mix, head_scores, last_row, masked_softmax, matmul, scale
+from .tensor import Tensor, head_mix, head_scores, last_row, masked_softmax, matmul
 
 
 def default_k(length: int) -> int:
@@ -20,7 +20,7 @@ def default_k(length: int) -> int:
 
 def attention_scores(q: Tensor, k: Tensor, n_heads: int = 1) -> Tensor:
     """P = Q_h K_h^T / sqrt(d_head) per head, heads stacked as row blocks."""
-    return scale(head_scores(q, k, n_heads), 1.0 / math.sqrt(q.data.shape[-1] // n_heads))
+    return head_scores(q, k, n_heads, 1.0 / math.sqrt(q.data.shape[-1] // n_heads))
 
 
 def topk_mask(scores: np.ndarray, k: int, allowed: np.ndarray | None = None) -> np.ndarray:

@@ -11,8 +11,8 @@ import numpy as np
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, last_row, layer_norm,
-                     matmul, no_grad, swap_leading)
+from .tensor import (ACTIVATIONS, Tensor, activation, last_row, layer_norm, linear, matmul,
+                     no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -178,17 +178,20 @@ class TransformerModel:
     # "dec.1.cross_attn: matmul produced non-finite values"; a try block
     # costs nothing while no exception is raised.
 
-    def _ln(self, prefix, x):
+    def _ln(self, prefix, x, residual=None):
+        """Layer norm of x + residual; an overflowing residual sum is named
+        after this layer norm."""
         try:
-            return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
+            return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"],
+                              residual)
         except NumericError as e:
             raise NumericError(f"{prefix}: {e}") from e
 
     def _ffn(self, prefix, x):
         p = self.params
         try:
-            h = activation(add_bias(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]), "relu")
-            return add_bias(matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+            h = activation(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]), "relu")
+            return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
         except NumericError as e:
             raise NumericError(f"{prefix}: {e}") from e
 
@@ -214,8 +217,7 @@ class TransformerModel:
     def _embed(self, x: Tensor, prefix: str) -> Tensor:
         """x @ W plus the positional table, which broadcasts over a batch."""
         try:
-            emb = matmul(x, self.params[f"{prefix}.w"])
-            return add_bias(emb, Tensor(self.pe.slice(x.data.shape[-2])))
+            return linear(x, self.params[f"{prefix}.w"], Tensor(self.pe.slice(x.data.shape[-2])))
         except NumericError as e:
             raise NumericError(f"{prefix}: {e}") from e
 
@@ -240,8 +242,8 @@ class TransformerModel:
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
         x = x_emb
         for i in range(self.config.n_encoder_layers):
-            h = self._ln(f"enc.{i}.ln1", add(x, self._mha(f"enc.{i}.attn", x, x)))
-            x = self._ln(f"enc.{i}.ln2", add(h, self._ffn(f"enc.{i}.ffn", h)))
+            h = self._ln(f"enc.{i}.ln1", x, self._mha(f"enc.{i}.attn", x, x))
+            x = self._ln(f"enc.{i}.ln2", h, self._ffn(f"enc.{i}.ffn", h))
         return x
 
     def cross_kv(self, memory: Tensor) -> list:
@@ -273,20 +275,19 @@ class TransformerModel:
         for i in range(n):
             newest = newest_only and i == n - 1
             attn = self._mha(f"dec.{i}.self_attn", y, y, causal=True, newest_only=newest)
-            y = self._ln(f"dec.{i}.ln1", add(last_row(y) if newest else y, attn))
-            y = self._ln(f"dec.{i}.ln2", add(y, self._mha(f"dec.{i}.cross_attn", y,
-                                                          memory_kv[i])))
-            y = self._ln(f"dec.{i}.ln3", add(y, self._ffn(f"dec.{i}.ffn", y)))
+            y = self._ln(f"dec.{i}.ln1", last_row(y) if newest else y, attn)
+            y = self._ln(f"dec.{i}.ln2", y, self._mha(f"dec.{i}.cross_attn", y, memory_kv[i]))
+            y = self._ln(f"dec.{i}.ln3", y, self._ffn(f"dec.{i}.ffn", y))
         return y
 
     def output_head(self, d: Tensor) -> Tensor:
         p = self.params
         try:
             if self.config.output_head == "linear":
-                return add_bias(matmul(d, p["head.w"]), p["head.b"])
-            hidden = activation(add_bias(matmul(d, p["head.w1"]), p["head.b1"]),
+                return linear(d, p["head.w"], p["head.b"])
+            hidden = activation(linear(d, p["head.w1"], p["head.b1"]),
                                 self.config.head_activation)
-            return add_bias(matmul(hidden, p["head.w2"]), p["head.b2"])
+            return linear(hidden, p["head.w2"], p["head.b2"])
         except NumericError as e:
             raise NumericError(f"head: {e}") from e
 

@@ -90,12 +90,18 @@ def no_grad():
 
 
 def _make(data, parents, backward_fn, opname):
+    """The Tensor an op made: data is already a float64 array and parents a
+    tuple, so the slots are set directly, without __init__'s conversions."""
     _check_finite(data, opname)
-    if not _grad_enabled:
-        return Tensor(data)
-    rg = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=rg, _parents=parents,
-                  _backward_fn=backward_fn if rg else None)
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out._backward_done = data, None, False
+    if _grad_enabled:
+        rg = any(p.requires_grad for p in parents)
+        out.requires_grad, out._parents = rg, parents
+        out._backward_fn = backward_fn if rg else None
+    else:
+        out.requires_grad, out._parents, out._backward_fn = False, (), None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +119,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
 
     return _make(out, (a, b), bwd, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one op: (..., m, k) @ (k, n) plus b broadcast as in
+    add_bias, a length-n bias row or an m x n table over the batch."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.data.shape} x {w.data.shape}")
+    out_shape = x.data.shape[:-1] + w.data.shape[1:]
+    if out_shape[len(out_shape) - b.data.ndim:] != b.data.shape:
+        raise ShapeError(f"linear: {out_shape} + bias {b.data.shape}")
+    x2 = x.data.reshape(-1, w.data.shape[0])
+    out = (x2 @ w.data).reshape(out_shape) + b.data
+
+    def bwd(g):
+        g2 = g.reshape(x2.shape[0], -1)
+        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
+                g.reshape((-1,) + b.data.shape).sum(axis=0))
+
+    return _make(out, (x, w, b), bwd, "linear")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -228,21 +253,23 @@ def _same_batch(a: np.ndarray, b: np.ndarray) -> bool:
     return a.ndim >= 2 and b.ndim == a.ndim and a.shape[:-2] == b.shape[:-2]
 
 
-def head_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
-    """Per-head Q_h K_h^T with head h the column block h of q and k, stacked
-    as row blocks: (..., n_heads * Lq, Lk) for q (..., Lq, d), k (..., Lk, d)."""
+def head_scores(q: Tensor, k: Tensor, n_heads: int, c: float = 1.0) -> Tensor:
+    """Per-head c * Q_h K_h^T with head h the column block h of q and k,
+    stacked as row blocks: (..., n_heads * Lq, Lk) for q (..., Lq, d),
+    k (..., Lk, d). c multiplies the product, after the GEMM."""
     if (not _same_batch(q.data, k.data) or q.data.shape[-1] != k.data.shape[-1]
             or q.data.shape[-1] % n_heads):
         raise ShapeError(f"head_scores: shapes {q.data.shape}, {k.data.shape}, {n_heads} heads")
     qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
     out_shape = q.data.shape[:-2] + (-1, k.data.shape[-2])
+    c = float(c)
 
     def bwd(g):
-        gh = g.reshape(kh.shape[:-2] + (-1, kh.shape[-2]))
+        gh = (g * c).reshape(kh.shape[:-2] + (-1, kh.shape[-2]))
         return (_merge_heads(np.matmul(gh, kh)),
                 _merge_heads(np.matmul(gh.swapaxes(-1, -2), qh)))
 
-    out = np.matmul(qh, kh.swapaxes(-1, -2)).reshape(out_shape)
+    out = np.matmul(qh, kh.swapaxes(-1, -2)).reshape(out_shape) * c
     return _make(out, (q, k), bwd, "head_scores")
 
 
@@ -310,18 +337,28 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     return _make(w, (scores,), bwd, "masked_softmax")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of x over the last axis to zero mean / unit variance
-    (population variance), then apply the gamma/beta affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize each row of x (of x + residual, when given) over the last
+    axis to zero mean / unit variance (population variance), then apply the
+    gamma/beta affine. x and residual get the same gradient."""
     d = x.data.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm: empty last dimension")
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    if residual is None:
+        inp, parents = x.data, (x, gamma, beta)
+    else:
+        if residual.data.shape != x.data.shape:
+            raise ShapeError(f"layer_norm: residual {residual.data.shape} vs {x.data.shape}")
+        inp, parents = x.data + residual.data, (x, gamma, beta, residual)
+    # np.mean's and np.var's sums and divisions with the row centred once,
+    # so mean, variance and x-hat equal theirs bit for bit
+    centred = inp - inp.sum(axis=-1, keepdims=True) / d
+    var = np.square(centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out = gamma.data * xhat + beta.data
 
     def bwd(g):
@@ -329,9 +366,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         axes = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), dx
 
-    return _make(out, (x, gamma, beta), bwd, "layer_norm")
+    return _make(out, parents, bwd, "layer_norm")
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

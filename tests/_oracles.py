@@ -70,6 +70,13 @@ def ref_multi_head(q_in, k_in, v_in, wq, wk, wv, wo, kk=None, causal=False):
     return np.concatenate(heads, axis=1) @ wo
 
 
+def ref_linear(x, w, b):
+    """x @ w + b, each batch item's GEMM on its own."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = [xi @ w for xi in x.reshape((-1,) + x.shape[-2:])]
+    return np.array(rows).reshape(x.shape[:-1] + w.shape[1:]) + b
+
+
 def ref_layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)

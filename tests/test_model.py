@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hydroformer import attention as attention_mod
 from hydroformer import data as D
 from hydroformer import model as model_mod
+from hydroformer import tensor as tensor_mod
 from hydroformer.attention import dense_attention, multi_head
-from hydroformer.errors import ConfigError, DataError, ShapeError
+from hydroformer.errors import ConfigError, DataError, NumericError, ShapeError
 from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
                                checkpoint_digest, load_checkpoint, save_checkpoint)
 from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse
@@ -248,6 +249,40 @@ class TestForward:
         a = dense.forward(window, dec).data
         b = sparse.forward(window, dec).data
         assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_overflowing_residual_sum_names_its_layer_norm(self):
+        cfg = tiny_config()
+        model = TransformerModel(cfg, seed=13)
+        p = model.params
+        # ln1's output and the FFN's output are each about 1e308 and finite;
+        # their residual sum is not
+        p["enc.0.ln1.beta"].data = np.full(cfg.d_model, 1e308)
+        p["enc.0.ffn.w1"].data = np.zeros_like(p["enc.0.ffn.w1"].data)
+        p["enc.0.ffn.b2"].data = np.full(cfg.d_model, 1e308)
+        rng = np.random.default_rng(13)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^enc\.0\.ln2: layer_norm produced non-finite"):
+            model.forward(rand_window(rng, cfg), rng.standard_normal((2, 1)))
+
+    def test_tape_op_counts(self, monkeypatch):
+        """Tape ops of the desk-scale sparse model with the tanh-sandwich
+        head: a lead-1 predict (one Shapley value-function call) and one
+        teacher-forced training graph of 8 samples. Splitting a fused op
+        (linear, the residual layer norm, scaled head scores) raises them."""
+        cfg = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
+                                     lookback=30, horizon=7)
+        model = TransformerModel(cfg, seed=14)
+        calls = []
+        make = tensor_mod._make
+        monkeypatch.setattr(tensor_mod, "_make", lambda *a: calls.append(a[3]) or make(*a))
+        rng = np.random.default_rng(14)
+        windows = rng.standard_normal((8, cfg.lookback, cfg.n_features))
+        model.predict(windows[0], 1)
+        assert len(calls) == 59, calls
+        calls.clear()
+        out = model.forward(windows, rng.standard_normal((8, cfg.horizon, 1)))
+        mse(out, Tensor(rng.standard_normal((8, cfg.horizon, 1))))
+        assert len(calls) == 60, calls
 
 
 def _step(model, window, dec, target):

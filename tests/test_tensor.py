@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydroformer.errors import NumericError, ShapeError
 from hydroformer.gradcheck import grad_check
 from hydroformer import tensor as T
 from hydroformer.tensor import (Tensor, activation, add, add_bias, backward,
                                 concat_cols, head_mix, head_scores, last_row, layer_norm,
-                                masked_softmax, matmul, mse, mul, no_grad, scale, sub,
-                                swap_leading, tensor_sum, transpose)
+                                linear, masked_softmax, matmul, mse, mul, no_grad, scale,
+                                sub, swap_leading, tensor_sum, transpose)
 
-from _oracles import ref_masked_softmax
+from _oracles import ref_layer_norm, ref_linear, ref_masked_softmax
 
 
 def t(data, grad=True):
@@ -407,6 +409,101 @@ class TestBatched:
         coef = rng.uniform(-1, 1, (2, 3, 5))
         fn = lambda ts: tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2]), Tensor(coef)))
         assert grad_check(fn, [x, g, b]).ok(1e-4)
+
+
+def _fused_cases(rng, lead):
+    """(name, leaf arrays, fused op, its unfused composition) for each fused
+    op on a batch with leading shape `lead`."""
+    x = rng.uniform(-2, 2, lead + (3, 6))
+    row, table = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (3, 4))
+    w = rng.uniform(-1, 1, (6, 4))
+    g, b = rng.uniform(0.5, 1.5, 6), rng.uniform(-1, 1, 6)
+    r = rng.uniform(-2, 2, lead + (3, 6))
+    k = rng.uniform(-1, 1, lead + (5, 6))
+    return [
+        ("linear_row", [x, w, row], lambda a: linear(*a),
+         lambda a: add_bias(matmul(a[0], a[1]), a[2])),
+        ("linear_table", [x, w, table], lambda a: linear(*a),
+         lambda a: add_bias(matmul(a[0], a[1]), a[2])),
+        ("layer_norm_residual", [x, g, b, r], lambda a: layer_norm(*a),
+         lambda a: layer_norm(add(a[0], a[3]), a[1], a[2])),
+        ("head_scores_scaled", [x, k], lambda a: head_scores(a[0], a[1], 2, 0.37),
+         lambda a: scale(head_scores(a[0], a[1], 2), 0.37)),
+    ]
+
+
+def _value_and_grads(op, arrays, coef):
+    leaves = [t(a) for a in arrays]
+    out = op(leaves)
+    backward(tensor_sum(mul(out, Tensor(coef))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+class TestFused:
+    """linear, layer_norm with a residual and head_scores with a scale c are
+    single ops for matmul -> add_bias, add -> layer_norm and head_scores ->
+    scale; each equals that composition bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+           seed=st.integers(0, 2**16))
+    def test_equal_to_the_unfused_composition(self, lead, seed):
+        rng = np.random.default_rng(seed)
+        for name, arrays, fused, composed in _fused_cases(rng, lead):
+            with no_grad():
+                coef = rng.uniform(-1, 1, fused([Tensor(a) for a in arrays]).shape)
+            f_out, f_grads = _value_and_grads(fused, arrays, coef)
+            c_out, c_grads = _value_and_grads(composed, arrays, coef)
+            assert np.array_equal(f_out, c_out), name
+            for fg, cg in zip(f_grads, c_grads):
+                assert np.array_equal(fg, cg), name
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("bias_shape", [(4,), (3, 4)])
+    def test_linear_matches_oracle_and_grad(self, lead, bias_shape):
+        rng = np.random.default_rng(42)
+        x, w = rng.uniform(-2, 2, lead + (3, 5)), rng.uniform(-1, 1, (5, 4))
+        b = rng.uniform(-1, 1, bias_shape)
+        assert np.allclose(linear(t(x), t(w), t(b)).data, ref_linear(x, w, b),
+                           rtol=0, atol=1e-14)
+        coef = rng.uniform(-1, 1, lead + (3, 4))
+        fn = lambda ts: tensor_sum(mul(linear(ts[0], ts[1], ts[2]), Tensor(coef)))
+        assert grad_check(fn, [x, w, b]).ok(1e-4)
+
+    def test_linear_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError, match="linear"):
+            linear(t(np.zeros((2, 3))), t(np.zeros((2, 4))), t(np.zeros(4)))
+        with pytest.raises(ShapeError, match="bias"):
+            linear(t(np.zeros((2, 3, 4))), t(np.zeros((4, 5))), t(np.zeros((2, 5))))
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_layer_norm_residual_matches_oracle_and_grad(self, lead):
+        rng = np.random.default_rng(43)
+        x, r = rng.uniform(-2, 2, lead + (3, 5)), rng.uniform(-2, 2, lead + (3, 5))
+        g, b = rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5)
+        out = layer_norm(t(x), t(g), t(b), t(r)).data
+        assert np.allclose(out, ref_layer_norm(x + r, g, b), rtol=0, atol=1e-14)
+        coef = rng.uniform(-1, 1, lead + (3, 5))
+        fn = lambda ts: tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2], ts[3]),
+                                       Tensor(coef)))
+        assert grad_check(fn, [x, g, b, r]).ok(1e-4)
+        with pytest.raises(ShapeError, match="residual"):
+            layer_norm(t(x), t(g), t(b), t(r[..., :2, :]))
+
+    def test_layer_norm_matches_numpy_mean_and_var_bit_for_bit(self):
+        x = np.random.default_rng(44).uniform(-3, 3, (4, 7, 9))
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        expect = (x - mu) * (1.0 / np.sqrt(var + 1e-5))
+        assert np.array_equal(layer_norm(t(x), t(np.ones(9)), t(np.zeros(9))).data, expect)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_scaled_head_scores_grad(self, n_heads):
+        rng = np.random.default_rng(45 + n_heads)
+        q, k = rng.uniform(-1, 1, (2, 3, 6)), rng.uniform(-1, 1, (2, 4, 6))
+        coef = rng.uniform(-1, 1, (2, n_heads * 3, 4))
+        fn = lambda ts: tensor_sum(mul(head_scores(ts[0], ts[1], n_heads, 0.37),
+                                       Tensor(coef)))
+        assert grad_check(fn, [q, k]).ok(1e-4)
 
 
 class TestFiniteGuard:

@@ -203,7 +203,7 @@ class TestFit:
             fit(small_model(), ds, TrainConfig(max_epochs=1, seed=1))
         samples = re.search(r"samples \[([0-9, ]+)\]", str(info.value)).group(1)
         assert planted in [int(i) for i in samples.split(",")]
-        assert re.search(r"\]: enc_embed: matmul produced non-finite", str(info.value))
+        assert re.search(r"\]: enc_embed: linear produced non-finite", str(info.value))
 
     def test_horizon_mismatch_rejected(self):
         ds = small_dataset(horizon=2)
