@@ -18,6 +18,7 @@ from . import bench as bench_mod
 from . import data as data_mod
 from . import explain as explain_mod
 from .errors import ConfigError, DataError, NumericError
+from .metrics import DegenerateDenominatorError
 from .model import (ModelConfig, TransformerModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .training import TrainConfig, evaluate_split, fit
@@ -116,10 +117,14 @@ def _load_dataset(cfg: RunConfig):
     return data_mod.make_windows(series, cfg.model.lookback, cfg.model.horizon)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _outdir(path) -> Path:
+    """The --out directory path, made if missing; ConfigError if it cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out: cannot make directory {path}: {e}") from e
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +133,7 @@ def _outdir(args) -> Path:
 def cmd_datagen(args) -> int:
     series = data_mod.synth_generate(seed=args.seed, length=args.length)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _outdir(out.parent)
     data_mod.write_table(series, out)
     print(f"wrote {args.length} rows to {out}")
     return EXIT_OK
@@ -137,7 +141,7 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, seed_override=args.seed)
-    out = _outdir(args)
+    out = _outdir(args.out)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
     dataset = _load_dataset(cfg)
     model = TransformerModel(cfg.model, seed=cfg.train.seed)
@@ -169,7 +173,7 @@ def cmd_evaluate(args) -> int:
     dataset.normalizer = normalizer
     report, series_by_lead = evaluate_split(model, dataset, args.split, args.leads,
                                             r2_mode=args.r2_mode)
-    out = _outdir(args)
+    out = _outdir(args.out)
     (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
     for lead, rows in series_by_lead.items():
         lines = ["date,actual,predicted"]
@@ -228,7 +232,7 @@ def cmd_explain(args) -> int:
         explanations.append(e)
         raw_rows.append(normalizer.invert(test.windows[i])[-1])
 
-    out = _outdir(args)
+    out = _outdir(args.out)
     if args.instance is not None:
         text = explain_mod.force_report_to_text(explanations[0])
         (out / "force_report.txt").write_text(text, encoding="utf-8")
@@ -251,7 +255,7 @@ def cmd_bench(args) -> int:
                                      repeats=args.repeats, seed=args.seed)
     text = bench_mod.rows_to_text(rows)
     if args.out:
-        out = _outdir(args)
+        out = _outdir(args.out)
         (out / "bench.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
@@ -363,7 +367,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
+    except (DataError, DegenerateDenominatorError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

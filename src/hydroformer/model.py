@@ -394,7 +394,11 @@ def _normalizer_from_header(entry, n_features: int) -> Normalizer:
 def load_checkpoint(path):
     """Returns (model, normalizer); normalizer may be None. A malformed file,
     or one whose parameters hold NaN or inf, raises DataError."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot open checkpoint {path}: {e}") from e
+    with f:
         header_line = f.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))

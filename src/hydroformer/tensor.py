@@ -5,11 +5,13 @@ axis and features on the last; any leading axes are a batch, so one sample
 (L x d) and a stack of samples (B x L x d) run the same code. Every op
 validates that finite inputs produce finite outputs.
 
-`backward` frees the graph as it sweeps it: only leaves (tensors no op made)
-keep a `.grad`, and every op node drops its parents and backward closure
-once used. Inside `no_grad()` ops record nothing at all.
+`backward` sweeps op nodes in reverse creation order, freeing the graph as
+it goes: only leaves (tensors no op made) keep a `.grad`. Inside `no_grad()`
+ops record nothing at all.
 """
 
+import heapq
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,19 +27,20 @@ _LEAKY_SLOPE = 0.01
 class Tensor:
     """A numpy array plus an optional gradient and a backward closure.
 
-    Data is immutable by convention after construction. .grad mutates on
-    leaves (accumulation during backward, reset via zero_grad); backward
-    clears an op node's parents and closure once it has used them.
+    The constructor makes leaves; op nodes come only from the ops. Data is
+    immutable by convention. .grad accumulates on leaves (reset via
+    zero_grad); an op node holds one only during a backward sweep.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
+                 "_backward_done", "_seq")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = tuple(_parents)
-        self._backward_fn = _backward_fn
+        self._parents = ()
+        self._backward_fn = None
         self._backward_done = False
 
     @property
@@ -64,9 +67,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def backward(self):
-        backward(self)
-
 
 def _check_finite(arr, opname):
     if not np.isfinite(arr).all():
@@ -74,6 +74,7 @@ def _check_finite(arr, opname):
 
 
 _grad_enabled = True
+_next_seq = itertools.count()  # creation numbers of recorded op nodes; see backward
 
 
 @contextmanager
@@ -91,14 +92,14 @@ def no_grad():
 
 def _make(data, parents, backward_fn, opname):
     """The Tensor an op made: data is already a float64 array and parents a
-    tuple, so the slots are set directly, without __init__'s conversions."""
+    tuple, so the slots are set directly, without __init__'s conversions.
+    Only an op with an input that requires grad is recorded, outside no_grad."""
     _check_finite(data, opname)
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out._backward_done = data, None, False
-    if _grad_enabled:
-        rg = any(p.requires_grad for p in parents)
-        out.requires_grad, out._parents = rg, parents
-        out._backward_fn = backward_fn if rg else None
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad, out._parents, out._backward_fn = True, parents, backward_fn
+        out._seq = next(_next_seq)
     else:
         out.requires_grad, out._parents, out._backward_fn = False, (), None
     return out
@@ -400,51 +401,40 @@ def backward(loss: Tensor) -> None:
     Gradients accumulate additively across multiple uses of the same tensor
     and across backward calls (reset with zero_grad).
 
-    The sweep frees the graph as it goes: each op node drops its parents and
-    backward closure once its gradient has been passed on, so intermediate
-    arrays are released early. A later backward that reaches a swept node
-    raises RuntimeError rather than silently losing gradients."""
+    Op nodes are swept in reverse creation order, which is topological: an
+    op's inputs exist before it, so a node is swept after all its consumers.
+    A node that has received gradient waits on a max-heap of creation
+    numbers, with the sum in its own .grad slot. Each swept node drops its
+    .grad, parents and backward closure, releasing intermediate arrays
+    early. A later backward that reaches a swept node raises RuntimeError
+    rather than silently losing gradients; leaf gradients are added only
+    after the sweep, so that error leaves every leaf's .grad unchanged."""
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss._backward_done:
         raise RuntimeError("backward already called on this loss; rebuild the graph")
-    loss._backward_done = True
+    heap, leaves = [], []
 
-    topo = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p._backward_done:
+    def send(node, g):
+        if node._backward_fn is None:
+            if node._backward_done:
                 raise RuntimeError("backward reached a graph an earlier backward "
                                    "already freed; rebuild the graph")
-            if p.requires_grad:
-                stack.append((p, False))
+            leaves.append((node, g))
+        elif node.grad is None:
+            node.grad = g
+            heapq.heappush(heap, (-node._seq, node))
+        else:
+            node.grad = node.grad + g
 
-    pending = {id(loss): np.ones_like(loss.data)}
-    while topo:
-        node = topo.pop()
-        g = pending.pop(id(node), None)
-        fn, parents = node._backward_fn, node._parents
-        if fn is None:
-            if g is not None:
-                node.grad = g if node.grad is None else node.grad + g
-            continue
-        node._backward_fn, node._parents, node._backward_done = None, (), True
-        if g is None:
-            continue
+    send(loss, np.ones_like(loss.data))
+    loss._backward_done = True
+    while heap:
+        node = heapq.heappop(heap)[1]
+        g, fn, parents = node.grad, node._backward_fn, node._parents
+        node.grad, node._backward_fn, node._parents, node._backward_done = None, None, (), True
         for parent, pg in zip(parents, fn(g)):
-            if not parent.requires_grad or pg is None:
-                continue
-            if id(parent) in pending:
-                pending[id(parent)] = pending[id(parent)] + pg
-            else:
-                pending[id(parent)] = pg
+            if parent.requires_grad:
+                send(parent, pg)
+    for leaf, g in leaves:
+        leaf.grad = g if leaf.grad is None else leaf.grad + g

@@ -1,13 +1,15 @@
 """Independent straight-line numpy references used as test oracles.
 
 These deliberately avoid the package's tensor/attention code paths: plain
-numpy, no masking kernels, no autograd. The one exception is ref_rollout,
-the per-window rollout loop, which drives the model's own forward pieces.
+numpy, no masking kernels, no autograd. The two exceptions are ref_rollout,
+the per-window rollout loop, which drives the model's own forward pieces,
+and ref_backward, a second sweep over the package's own tape.
 """
 
 import numpy as np
 
 from hydroformer.data import TARGET_INDEX
+from hydroformer.errors import ShapeError
 from hydroformer.tensor import no_grad
 
 
@@ -100,3 +102,55 @@ def ref_rollout(model, window, horizon):
             preds.append(float(out.data[t, 0]))
             dec.append(preds[-1])
     return np.array(preds)[:, None]
+
+
+def ref_backward(loss) -> None:
+    """backward as a two-phase sweep: a depth-first pass lists the nodes
+    reachable from the loss in topological order, and the reverse pass keeps
+    each node's pending gradient in a dict keyed by id(). It adds into and
+    frees the graph as backward does, and raises the same errors; leaves get
+    their summed gradient when the reverse pass reaches them."""
+    if loss.data.size != 1:
+        raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss._backward_done:
+        raise RuntimeError("backward already called on this loss; rebuild the graph")
+    loss._backward_done = True
+
+    topo = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p._backward_done:
+                raise RuntimeError("backward reached a graph an earlier backward "
+                                   "already freed; rebuild the graph")
+            if p.requires_grad:
+                stack.append((p, False))
+
+    pending = {id(loss): np.ones_like(loss.data)}
+    while topo:
+        node = topo.pop()
+        g = pending.pop(id(node), None)
+        fn, parents = node._backward_fn, node._parents
+        if fn is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        node._backward_fn, node._parents, node._backward_done = None, (), True
+        if g is None:
+            continue
+        for parent, pg in zip(parents, fn(g)):
+            if not parent.requires_grad or pg is None:
+                continue
+            if id(parent) in pending:
+                pending[id(parent)] = pending[id(parent)] + pg
+            else:
+                pending[id(parent)] = pg

@@ -435,6 +435,67 @@ def test_evaluate_split_of_one_window_is_data_error(trained_run, tmp_path, capsy
     assert "val split has 1 window" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for part in parts:
+        assert part in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command, extra", [
+    ("predict", []),
+    ("evaluate", ["--out", "OUT"]),
+    ("explain", ["--global", "--sample", "1", "--permutations", "2", "--out", "OUT"]),
+])
+def test_unopenable_checkpoint_is_data_error(trained_run, tmp_path, capsys, command, extra,
+                                             kind):
+    ckpt = tmp_path / "ckpt"
+    if kind == "directory":
+        ckpt.mkdir()
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(trained_run["data"])]
+    argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+    assert cli.main(argv) == cli.EXIT_DATA
+    _assert_one_line_error(capsys, "data error: cannot open checkpoint", str(ckpt))
+
+
+def test_constant_target_in_standard_r2_is_data_error(trained_run, tmp_path, capsys):
+    lines = _desk_csv_lines(trained_run)
+    col = 1 + D.TARGET_INDEX
+    flat = tmp_path / "flat.csv"
+    with flat.open("w", encoding="utf-8") as f:
+        f.write(lines[0])
+        for n, line in enumerate(lines[1:]):
+            cells = line.rstrip("\n").split(",")
+            if n >= len(lines) // 2:
+                cells[col] = "1.5"
+            f.write(",".join(cells) + "\n")
+    rc = cli.main(["evaluate", "--checkpoint", str(trained_run["checkpoint"]),
+                   "--data", str(flat), "--r2-mode", "standard", "--leads", "1",
+                   "--out", str(tmp_path / "e")])
+    assert rc == cli.EXIT_DATA
+    _assert_one_line_error(capsys, "data error: standard-mode r2: constant observations")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{config}", "--out", "{file}"],
+    ["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}", "--leads", "1", "--out", "{file}"],
+    ["explain", "--checkpoint", "{ckpt}", "--data", "{data}", "--global", "--sample", "1",
+     "--permutations", "2", "--out", "{file}"],
+    ["bench", "--lengths", "8", "--ks", "L", "--d-k", "4", "--repeats", "1", "--out", "{file}"],
+    ["datagen", "--length", "400", "--out", "{file}/x.csv"],
+    ["train", "--config", "{config}", "--out", "{file}/run"],
+], ids=["train", "evaluate", "explain", "bench", "datagen_parent", "train_parent"])
+def test_out_that_cannot_be_made_exits_2(trained_run, tmp_path, capsys, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    argv = [a.format(config=trained_run["config"], ckpt=trained_run["checkpoint"],
+                     data=trained_run["data"], file=afile) for a in argv]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    _assert_one_line_error(capsys, "config error: --out: cannot make directory", str(afile))
+    assert afile.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_python_m_runs_the_cli(tmp_path):
     env = dict(os.environ)
     src = str(Path(hydroformer.__file__).resolve().parent.parent)

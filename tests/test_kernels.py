@@ -18,18 +18,15 @@ def _random_case(seed, m=7, n=9):
     return scores, mask
 
 
-# The test_backends_agree_* ids are kept stable for the test history; each
-# checks the numpy kernel against the straight-loop reference in _oracles.
-
 @pytest.mark.parametrize("seed", range(5))
-def test_backends_agree_on_softmax(seed):
+def test_numpy_kernel_matches_oracle_on_softmax(seed):
     scores, mask = _random_case(seed)
     got = kernels.masked_softmax_forward(scores, mask)
     assert np.allclose(got, ref_masked_softmax(scores, mask), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_backends_agree_on_softmax_backward(seed):
+def test_numpy_kernel_matches_oracle_on_softmax_backward(seed):
     scores, mask = _random_case(seed)
     grad = np.random.default_rng(seed + 100).standard_normal(scores.shape)
     w = kernels.masked_softmax_forward(scores, mask)
@@ -39,7 +36,7 @@ def test_backends_agree_on_softmax_backward(seed):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("k", [1, 3, 20])
-def test_backends_agree_on_topk(seed, k):
+def test_numpy_kernel_matches_oracle_on_topk(seed, k):
     scores, mask = _random_case(seed)
     assert np.array_equal(kernels.topk_keep(scores, k, mask), ref_topk_mask(scores, k, mask))
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hydroformer.errors import NumericError, ShapeError
 from hydroformer.gradcheck import grad_check
 from hydroformer import tensor as T
-from hydroformer.tensor import (Tensor, activation, add, add_bias, backward,
+from hydroformer.tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, backward,
                                 concat_cols, head_mix, head_scores, last_row, layer_norm,
                                 linear, masked_softmax, matmul, mse, mul, no_grad, scale,
                                 sub, swap_leading, tensor_sum, transpose)
 
-from _oracles import ref_layer_norm, ref_linear, ref_masked_softmax
+from _oracles import ref_backward, ref_layer_norm, ref_linear, ref_masked_softmax
 
 
 def t(data, grad=True):
@@ -252,6 +252,21 @@ class TestBackward:
             backward(tensor_sum(scale(shared, 2.0)))
         assert np.array_equal(x.grad, [2, 4])
 
+    @pytest.mark.parametrize("live_last", [True, False])
+    def test_freed_graph_error_leaves_a_leaf_on_a_live_path_unchanged(self, live_last):
+        # the sweep runs in reverse creation order, so the path built last
+        # reaches x or the swept node first
+        x = t([1.0, 2.0])
+        shared = mul(x, x)
+        backward(tensor_sum(shared))
+        terms = [lambda: tensor_sum(scale(shared, 2.0)), lambda: tensor_sum(scale(x, 3.0))]
+        if not live_last:
+            terms.reverse()
+        loss = add(terms[0](), terms[1]())
+        with pytest.raises(RuntimeError, match="freed"):
+            backward(loss)
+        assert np.array_equal(x.grad, [2, 4])
+
     def test_leaf_grads_accumulate_across_separate_graphs(self):
         # both graphs share the leaf w and exist before either is swept
         w = t([[0.5, -1.0], [2.0, 0.25]])
@@ -261,6 +276,90 @@ class TestBackward:
             backward(loss)
         expect = sum(x.T @ (1 - np.tanh(x @ w.data) ** 2) for x in xs)
         assert np.allclose(w.grad, expect, rtol=0, atol=1e-15)
+
+
+_DAG_OPS = ("add", "mul", "scale", "matmul", "activation", "layer_norm")
+
+
+def _build_dag(plan, seed):
+    """A random graph of 3 x 3 tensors from a drawn plan. Leaves: x (used by
+    every graph at least twice), w (which already holds a .grad), a constant
+    c that requires no grad, and gamma and beta, which every layer_norm
+    shares. The hub, the last op of the plan, gets exactly `fanout`
+    consumers. Every node that nothing consumes joins the loss.
+    Returns (leaves, op nodes, loss)."""
+    steps, fanout, hub_partners = plan
+    rng = np.random.default_rng(seed)
+    x, w = t(rng.uniform(-1, 1, (3, 3))), t(rng.uniform(-1, 1, (3, 3)))
+    c = t(rng.uniform(-1, 1, (3, 3)), grad=False)
+    gamma, beta = t(rng.uniform(0.5, 1.5, 3)), t(rng.uniform(-1, 1, 3))
+    w.grad = rng.uniform(-1, 1, (3, 3))
+    leaves, nodes, ops = [x, w, c, gamma, beta], [x, w, c], []
+    consumers = {}
+
+    def apply(kind, i, j, k):
+        a, b = nodes[i], nodes[j]
+        if kind == "scale":
+            out, used = scale(a, 0.5 + k), {i}
+        elif kind == "activation":
+            out, used = activation(a, ACTIVATIONS[k % len(ACTIVATIONS)]), {i}
+        elif kind == "layer_norm":
+            residual = b if k % 2 else None
+            out = layer_norm(a, gamma, beta, residual)
+            used = {i} if residual is None else {i, j}
+        else:
+            out, used = {"add": add, "mul": mul, "matmul": matmul}[kind](a, b), {i, j}
+        for u in used:
+            consumers[u] = consumers.get(u, 0) + 1
+        nodes.append(out)
+        ops.append(out)
+
+    for kind, i, j, k in steps:
+        apply(kind, i % len(nodes), j % len(nodes), k)
+    hub = len(nodes) - 1
+    for n, (kind, j) in enumerate(hub_partners[:fanout]):
+        # j < hub keeps the partner from being the hub or one of its consumers
+        apply(kind, hub, j % hub, n)
+    terms = [tensor_sum(mul(nodes[i], c)) for i in range(len(nodes))
+             if i not in consumers and nodes[i].requires_grad]
+    terms += [tensor_sum(mul(x, w)), tensor_sum(scale(x, -0.75))]
+    ops += terms
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = add(loss, term)
+        ops.append(loss)
+    return leaves, ops, loss
+
+
+_STEPS = st.lists(st.tuples(st.sampled_from(_DAG_OPS), st.integers(0, 50),
+                            st.integers(0, 50), st.integers(0, 11)), min_size=1, max_size=10)
+_PARTNERS = st.lists(st.tuples(st.sampled_from(("add", "mul", "matmul")), st.integers(0, 50)),
+                     min_size=4, max_size=4)
+
+
+class TestBackwardDags:
+    """backward against ref_backward, the two-phase DFS sweep, on random
+    graphs of the ops the model uses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=st.tuples(_STEPS, st.integers(1, 4), _PARTNERS),
+           seed=st.integers(0, 2**16))
+    def test_leaf_grads_match_the_dfs_oracle_and_the_graph_is_freed(self, plan, seed):
+        leaves, ops, loss = _build_dag(plan, seed)
+        ref_leaves, _, ref_loss = _build_dag(plan, seed)
+        assert np.array_equal(loss.data, ref_loss.data)
+        backward(loss)
+        ref_backward(ref_loss)
+        for leaf, ref in zip(leaves, ref_leaves):
+            assert (leaf.grad is None) == (ref.grad is None)
+            if ref.grad is not None:
+                # summation order differs at nodes with several consumers:
+                # 1e-12 relative to the largest entry, absolute below 1
+                size = max(1.0, float(np.max(np.abs(ref.grad))))
+                assert np.max(np.abs(leaf.grad - ref.grad)) <= 1e-12 * size
+        assert leaves[2].grad is None
+        for node in ops:
+            assert node.grad is None and node._parents == ()
 
 
 class TestNoGrad:
