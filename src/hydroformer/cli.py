@@ -134,7 +134,10 @@ def cmd_datagen(args) -> int:
     series = data_mod.synth_generate(seed=args.seed, length=args.length)
     out = Path(args.out)
     _outdir(out.parent)
-    data_mod.write_table(series, out)
+    try:
+        data_mod.write_table(series, out)
+    except OSError as e:
+        raise ConfigError(f"--out: cannot write {out}: {e}") from e
     print(f"wrote {args.length} rows to {out}")
     return EXIT_OK
 
@@ -171,9 +174,9 @@ def cmd_evaluate(args) -> int:
     series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
     dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
     dataset.normalizer = normalizer
+    out = _outdir(args.out)
     report, series_by_lead = evaluate_split(model, dataset, args.split, args.leads,
                                             r2_mode=args.r2_mode)
-    out = _outdir(args.out)
     (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
     for lead, rows in series_by_lead.items():
         lines = ["date,actual,predicted"]
@@ -220,11 +223,12 @@ def cmd_explain(args) -> int:
     test = dataset.split("test")
     indices = _explain_instances(args, model, dataset)
 
+    vfs = [explain_mod.model_value_function(model, normalizer, test.windows[i], lead=args.lead)
+           for i in indices]
+    out = _outdir(args.out)
     explanations = []
     raw_rows = []
-    for i in indices:
-        vf = explain_mod.model_value_function(model, normalizer, test.windows[i],
-                                              lead=args.lead)
+    for i, vf in zip(indices, vfs):
         if args.estimator == "exact":
             e = explain_mod.exact_shapley(vf, allow_large=args.allow_large_exact)
         else:
@@ -232,7 +236,6 @@ def cmd_explain(args) -> int:
         explanations.append(e)
         raw_rows.append(normalizer.invert(test.windows[i])[-1])
 
-    out = _outdir(args.out)
     if args.instance is not None:
         text = explain_mod.force_report_to_text(explanations[0])
         (out / "force_report.txt").write_text(text, encoding="utf-8")

@@ -25,6 +25,7 @@ COLUMN_UNITS = {
 }
 
 SYNTH_MIN_LENGTH = 400
+SYNTH_START_DATE = datetime.date(2000, 1, 1)
 
 
 @dataclass
@@ -156,9 +157,6 @@ class Normalizer:
     def invert(self, matrix: np.ndarray) -> np.ndarray:
         return matrix * self.std + self.mean
 
-    def apply_target(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean[TARGET_INDEX]) / self.std[TARGET_INDEX]
-
     def invert_target(self, values: np.ndarray) -> np.ndarray:
         return values * self.std[TARGET_INDEX] + self.mean[TARGET_INDEX]
 
@@ -225,8 +223,7 @@ def window_count(segment_rows: int, lookback: int, horizon: int) -> int:
     return max(0, segment_rows - lookback - horizon + 1)
 
 
-def synth_generate(seed: int, length: int, rain_scale: float = 1.0,
-                   start_date: datetime.date = datetime.date(2000, 1, 1)) -> RawSeries:
+def synth_generate(seed: int, length: int, rain_scale: float = 1.0) -> RawSeries:
     """Deterministic synthetic stand-in series.
 
     The water level integrates seasonally modulated gate rainfall through an
@@ -283,7 +280,7 @@ def synth_generate(seed: int, length: int, rain_scale: float = 1.0,
     for j, name in enumerate(GATE_RAIN_COLUMNS):
         values[:, FEATURE_COLUMNS.index(name)] = gates[:, j]
 
-    dates = [start_date + datetime.timedelta(days=int(i)) for i in range(length)]
+    dates = [SYNTH_START_DATE + datetime.timedelta(days=int(i)) for i in range(length)]
     return RawSeries(dates=dates, values=values)
 
 

@@ -15,6 +15,7 @@ from .data import FEATURE_COLUMNS, METEO_COLUMNS
 from .errors import ConfigError
 
 EXACT_CAP = 12
+MAX_FEATURES = 62     # coalitions are int64 bitmasks
 
 
 @dataclass
@@ -32,6 +33,9 @@ class ValueFunction:
         if self.baseline.shape != (self.instance.shape[1],):
             raise ValueError(f"baseline shape {self.baseline.shape} != "
                              f"({self.instance.shape[1]},) features")
+        if self.n_features > MAX_FEATURES:
+            raise ValueError(f"{self.n_features} features exceed the limit of "
+                             f"{MAX_FEATURES} (coalitions are int64 bitmasks)")
         if self.feature_names is None:
             self.feature_names = tuple(f"f{i}" for i in range(self.n_features))
         if len(self.feature_names) != self.n_features:
@@ -50,17 +54,24 @@ def coalition_value(vf: ValueFunction, subset) -> float:
     members = {int(j) for j in subset}
     if not members <= set(range(vf.n_features)):
         raise ValueError(f"coalition {sorted(members)} outside features 0..{vf.n_features - 1}")
-    return _masked_value(vf, sum(1 << j for j in members), {})
+    return _masked_value(vf, sum(1 << j for j in members))
 
 
-def _masked_value(vf, bitmask, cache):
-    val = cache.get(bitmask)
-    if val is None:
-        keep = np.array([(bitmask >> j) & 1 for j in range(vf.n_features)], dtype=bool)
-        hybrid = np.where(keep, vf.instance, vf.baseline)
-        val = float(vf.predict(hybrid))
-        cache[bitmask] = val
-    return val
+def _masked_value(vf, bitmask):
+    keep = ((bitmask >> np.arange(vf.n_features)) & 1).astype(bool)
+    return float(vf.predict(np.where(keep, vf.instance, vf.baseline)))
+
+
+def _values(vf, bitmasks) -> np.ndarray:
+    """Values of an int array of coalition bitmasks, in the array's shape.
+    Each distinct coalition is evaluated once, in first-visit order."""
+    bitmasks = np.asarray(bitmasks)
+    distinct, first, inverse = np.unique(bitmasks.ravel(), return_index=True,
+                                         return_inverse=True)
+    values = np.empty(len(distinct))
+    for k in np.argsort(first):
+        values[k] = _masked_value(vf, int(distinct[k]))
+    return values[inverse].reshape(bitmasks.shape)
 
 
 @dataclass
@@ -75,32 +86,25 @@ class Explanation:
 
 
 def exact_shapley(vf: ValueFunction, allow_large: bool = False) -> Explanation:
-    """Exact Shapley values by full coalition enumeration (memoized, 2^n
-    model evaluations). Guarded by a feature-count cap: n=19 costs ~5e5
-    evaluations and is opt-in via allow_large."""
+    """Exact Shapley values by full coalition enumeration (2^n model
+    evaluations, one per coalition). Guarded by a feature-count cap: n=19
+    costs ~5e5 evaluations and is opt-in via allow_large."""
     n = vf.n_features
     if n > EXACT_CAP and not allow_large:
         raise ConfigError(f"exact enumeration over {n} features exceeds cap {EXACT_CAP}; "
                           f"pass allow_large=True (or use sampled_shapley)")
-    cache = {}
-    full = (1 << n) - 1
-    weights = [math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
-               for s in range(n)]
-    phis = np.zeros(n)
-    for subset in range(1 << n):
-        if subset == full:
-            continue
-        size = bin(subset).count("1")
-        v_s = _masked_value(vf, subset, cache)
-        w = weights[size]
-        for i in range(n):
-            bit = 1 << i
-            if subset & bit:
-                continue
-            phis[i] += w * (_masked_value(vf, subset | bit, cache) - v_s)
-    return Explanation(phi0=_masked_value(vf, 0, cache), phis=phis,
-                       fx=_masked_value(vf, full, cache), estimator="exact",
-                       feature_names=vf.feature_names)
+    masks = np.arange(1 << n)
+    values = _values(vf, masks)
+    sizes = sum(((masks >> i) & 1 for i in range(n)), np.zeros_like(masks))
+    weights = np.array([math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
+                        for s in range(n)])
+    phis = np.empty(n)
+    for i in range(n):
+        without_i = masks[(masks >> i) & 1 == 0]
+        phis[i] = np.sum(weights[sizes[without_i]]
+                         * (values[without_i | (1 << i)] - values[without_i]))
+    return Explanation(phi0=float(values[0]), phis=phis, fx=float(values[-1]),
+                       estimator="exact", feature_names=vf.feature_names)
 
 
 def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
@@ -112,21 +116,14 @@ def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
         raise ConfigError(f"sampled_shapley needs m >= 2 permutations, got {m}")
     n = vf.n_features
     rng = np.random.default_rng(seed)
-    cache = {}
+    orders = np.stack([rng.permutation(n) for _ in range(m)])
+    prefixes = np.bitwise_or.accumulate(1 << orders, axis=1)
+    values = _values(vf, np.pad(prefixes, ((0, 0), (1, 0))))
     marginals = np.zeros((m, n))
-    for p in range(m):
-        order = rng.permutation(n)
-        bitmask = 0
-        prev = _masked_value(vf, bitmask, cache)
-        for i in order:
-            bitmask |= 1 << int(i)
-            cur = _masked_value(vf, bitmask, cache)
-            marginals[p, i] = cur - prev
-            prev = cur
+    np.put_along_axis(marginals, orders, np.diff(values, axis=1), axis=1)
     phis = marginals.mean(axis=0)
     se = marginals.std(axis=0, ddof=1) / math.sqrt(m)
-    return Explanation(phi0=_masked_value(vf, 0, cache), phis=phis,
-                       fx=_masked_value(vf, (1 << n) - 1, cache),
+    return Explanation(phi0=float(values[0, 0]), phis=phis, fx=float(values[0, -1]),
                        estimator="sampled", n_permutations=m, std_errors=se,
                        feature_names=vf.feature_names)
 

@@ -3,13 +3,17 @@
 These deliberately avoid the package's tensor/attention code paths: plain
 numpy, no masking kernels, no autograd. The two exceptions are ref_rollout,
 the per-window rollout loop, which drives the model's own forward pieces,
-and ref_backward, a second sweep over the package's own tape.
+and ref_backward, a second sweep over the package's own tape. The Shapley
+references walk coalitions one at a time through a per-call dict cache.
 """
+
+import math
 
 import numpy as np
 
 from hydroformer.data import TARGET_INDEX
-from hydroformer.errors import ShapeError
+from hydroformer.errors import ConfigError, ShapeError
+from hydroformer.explain import EXACT_CAP, Explanation
 from hydroformer.tensor import no_grad
 
 
@@ -154,3 +158,67 @@ def ref_backward(loss) -> None:
                 pending[id(parent)] = pending[id(parent)] + pg
             else:
                 pending[id(parent)] = pg
+
+
+def _ref_masked_value(vf, bitmask, cache):
+    val = cache.get(bitmask)
+    if val is None:
+        keep = np.array([(bitmask >> j) & 1 for j in range(vf.n_features)], dtype=bool)
+        hybrid = np.where(keep, vf.instance, vf.baseline)
+        val = float(vf.predict(hybrid))
+        cache[bitmask] = val
+    return val
+
+
+def ref_exact_shapley(vf, allow_large: bool = False) -> Explanation:
+    """Exact Shapley values as a walk over every subset and every feature
+    outside it, each coalition evaluated on first visit."""
+    n = vf.n_features
+    if n > EXACT_CAP and not allow_large:
+        raise ConfigError(f"exact enumeration over {n} features exceeds cap {EXACT_CAP}; "
+                          f"pass allow_large=True (or use sampled_shapley)")
+    cache = {}
+    full = (1 << n) - 1
+    weights = [math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
+               for s in range(n)]
+    phis = np.zeros(n)
+    for subset in range(1 << n):
+        if subset == full:
+            continue
+        size = bin(subset).count("1")
+        v_s = _ref_masked_value(vf, subset, cache)
+        w = weights[size]
+        for i in range(n):
+            bit = 1 << i
+            if subset & bit:
+                continue
+            phis[i] += w * (_ref_masked_value(vf, subset | bit, cache) - v_s)
+    return Explanation(phi0=_ref_masked_value(vf, 0, cache), phis=phis,
+                       fx=_ref_masked_value(vf, full, cache), estimator="exact",
+                       feature_names=vf.feature_names)
+
+
+def ref_sampled_shapley(vf, m: int, seed: int = 0) -> Explanation:
+    """Permutation Monte Carlo Shapley values as a walk over each drawn
+    order's prefixes, each coalition evaluated on first visit."""
+    if m < 2:
+        raise ConfigError(f"sampled_shapley needs m >= 2 permutations, got {m}")
+    n = vf.n_features
+    rng = np.random.default_rng(seed)
+    cache = {}
+    marginals = np.zeros((m, n))
+    for p in range(m):
+        order = rng.permutation(n)
+        bitmask = 0
+        prev = _ref_masked_value(vf, bitmask, cache)
+        for i in order:
+            bitmask |= 1 << int(i)
+            cur = _ref_masked_value(vf, bitmask, cache)
+            marginals[p, i] = cur - prev
+            prev = cur
+    phis = marginals.mean(axis=0)
+    se = marginals.std(axis=0, ddof=1) / math.sqrt(m)
+    return Explanation(phi0=_ref_masked_value(vf, 0, cache), phis=phis,
+                       fx=_ref_masked_value(vf, (1 << n) - 1, cache),
+                       estimator="sampled", n_permutations=m, std_errors=se,
+                       feature_names=vf.feature_names)

@@ -477,23 +477,37 @@ def test_constant_target_in_standard_r2_is_data_error(trained_run, tmp_path, cap
     _assert_one_line_error(capsys, "data error: standard-mode r2: constant observations")
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--config", "{config}", "--out", "{file}"],
-    ["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}", "--leads", "1", "--out", "{file}"],
-    ["explain", "--checkpoint", "{ckpt}", "--data", "{data}", "--global", "--sample", "1",
-     "--permutations", "2", "--out", "{file}"],
-    ["bench", "--lengths", "8", "--ks", "L", "--d-k", "4", "--repeats", "1", "--out", "{file}"],
-    ["datagen", "--length", "400", "--out", "{file}/x.csv"],
-    ["train", "--config", "{config}", "--out", "{file}/run"],
-], ids=["train", "evaluate", "explain", "bench", "datagen_parent", "train_parent"])
-def test_out_that_cannot_be_made_exits_2(trained_run, tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--config", "{config}", "--out", "{file}"], "cannot make directory {file}"),
+    (["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}", "--leads", "1",
+      "--out", "{file}"], "cannot make directory {file}"),
+    (["explain", "--checkpoint", "{ckpt}", "--data", "{data}", "--global", "--sample", "1",
+      "--permutations", "2", "--out", "{file}"], "cannot make directory {file}"),
+    (["bench", "--lengths", "8", "--ks", "L", "--d-k", "4", "--repeats", "1",
+      "--out", "{file}"], "cannot make directory {file}"),
+    (["datagen", "--length", "400", "--out", "{file}/x.csv"], "cannot make directory {file}"),
+    (["train", "--config", "{config}", "--out", "{file}/run"], "cannot make directory {file}"),
+    (["datagen", "--length", "400", "--out", "{dir}"], "cannot write {dir}"),
+], ids=["train", "evaluate", "explain", "bench", "datagen_parent", "train_parent",
+        "datagen_directory"])
+def test_out_that_cannot_be_made_exits_2(trained_run, tmp_path, capsys, monkeypatch, argv,
+                                         message):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "evaluate_split", never)
+    monkeypatch.setattr(cli.explain_mod, "sampled_shapley", never)
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n", encoding="utf-8")
-    argv = [a.format(config=trained_run["config"], ckpt=trained_run["checkpoint"],
-                     data=trained_run["data"], file=afile) for a in argv]
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    paths = {"config": trained_run["config"], "ckpt": trained_run["checkpoint"],
+             "data": trained_run["data"], "file": afile, "dir": adir}
+    argv = [a.format(**paths) for a in argv]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    _assert_one_line_error(capsys, "config error: --out: cannot make directory", str(afile))
+    _assert_one_line_error(capsys, "config error: --out: " + message.format(**paths))
     assert afile.read_text(encoding="utf-8") == "not a directory\n"
+    assert list(adir.iterdir()) == []
 
 
 def test_python_m_runs_the_cli(tmp_path):

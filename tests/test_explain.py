@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydroformer import explain as X
 from hydroformer.data import FEATURE_COLUMNS, METEO_COLUMNS
 from hydroformer.errors import ConfigError
+
+from _oracles import ref_exact_shapley, ref_sampled_shapley
 
 
 def linear_vf(w, x, mu, bias=0.0):
@@ -146,6 +150,51 @@ def test_coalition_value_rejects_unknown_features():
     for subset in ([2], [-1]):
         with pytest.raises(ValueError):
             X.coalition_value(vf, subset)
+
+
+def test_feature_count_limit():
+    limit = X.MAX_FEATURES
+    X.ValueFunction(predict=lambda row: 0.0, instance=np.ones((1, limit)),
+                    baseline=np.zeros(limit))
+    with pytest.raises(ValueError, match=f"limit of {limit}"):
+        X.ValueFunction(predict=lambda row: 0.0, instance=np.ones((1, limit + 1)),
+                        baseline=np.zeros(limit + 1))
+
+
+def recording_vf(n, lookback, seed):
+    """A non-additive value function that logs every input it is given."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((lookback, n))
+    seen = []
+
+    def predict(hybrid):
+        seen.append(hybrid.copy())
+        z = np.sum(coef * hybrid)
+        return float(np.tanh(z) + hybrid[0, 0] * hybrid[-1, -1] + 0.1 * z ** 2)
+
+    vf = X.ValueFunction(predict=predict, instance=rng.standard_normal((lookback, n)),
+                         baseline=rng.standard_normal(n))
+    return vf, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), m=st.integers(2, 30), lookback=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_shapley_matches_per_coalition_oracle(n, m, lookback, seed):
+    vf, seen = recording_vf(n, lookback, seed)
+    ref_vf, ref_seen = recording_vf(n, lookback, seed)
+    got = X.sampled_shapley(vf, m=m, seed=seed)
+    ref = ref_sampled_shapley(ref_vf, m=m, seed=seed)
+    assert got.phi0 == ref.phi0 and got.fx == ref.fx
+    assert np.array_equal(got.phis, ref.phis)
+    assert np.array_equal(got.std_errors, ref.std_errors)
+    assert len(seen) == len(ref_seen)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
+
+    got = X.exact_shapley(vf)
+    ref = ref_exact_shapley(ref_vf)
+    assert got.phi0 == ref.phi0 and got.fx == ref.fx
+    assert np.allclose(got.phis, ref.phis, rtol=0.0, atol=1e-12)
 
 
 def test_non_model_value_function_has_generic_names():
