@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, NumericError
 from .metrics import DegenerateDenominatorError
 from .model import (ModelConfig, TransformerModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
-from .training import TrainConfig, evaluate_split, fit
+from .training import TrainConfig, check_leads, evaluate_split, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,6 +174,7 @@ def cmd_evaluate(args) -> int:
     series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
     dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
     dataset.normalizer = normalizer
+    check_leads(args.leads, model.config.horizon)
     out = _outdir(args.out)
     report, series_by_lead = evaluate_split(model, dataset, args.split, args.leads,
                                             r2_mode=args.r2_mode)
@@ -225,6 +226,8 @@ def cmd_explain(args) -> int:
 
     vfs = [explain_mod.model_value_function(model, normalizer, test.windows[i], lead=args.lead)
            for i in indices]
+    if args.estimator == "exact":
+        explain_mod.check_exact_cap(model.config.n_features, args.allow_large_exact)
     out = _outdir(args.out)
     explanations = []
     raw_rows = []

@@ -85,14 +85,19 @@ class Explanation:
     feature_names: tuple = FEATURE_COLUMNS
 
 
+def check_exact_cap(n: int, allow_large: bool) -> None:
+    """ConfigError if n features exceed EXACT_CAP without allow_large."""
+    if n > EXACT_CAP and not allow_large:
+        raise ConfigError(f"exact enumeration over {n} features exceeds cap {EXACT_CAP}; "
+                          f"pass allow_large=True (or use sampled_shapley)")
+
+
 def exact_shapley(vf: ValueFunction, allow_large: bool = False) -> Explanation:
     """Exact Shapley values by full coalition enumeration (2^n model
     evaluations, one per coalition). Guarded by a feature-count cap: n=19
     costs ~5e5 evaluations and is opt-in via allow_large."""
     n = vf.n_features
-    if n > EXACT_CAP and not allow_large:
-        raise ConfigError(f"exact enumeration over {n} features exceeds cap {EXACT_CAP}; "
-                          f"pass allow_large=True (or use sampled_shapley)")
+    check_exact_cap(n, allow_large)
     masks = np.arange(1 << n)
     values = _values(vf, masks)
     sizes = sum(((masks >> i) & 1 for i in range(n)), np.zeros_like(masks))

@@ -86,19 +86,58 @@ class PositionalEncoding:
         return self.table[:length]
 
 
-def _glorot(rng, fan_in, fan_out):
-    if rng is None:
-        return np.zeros((fan_in, fan_out))
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def _layout(c: ModelConfig):
+    """Every parameter's shape, and the Glorot draws in their published order
+    as (name, column block) pairs; fused Q/K/V are drawn head by head, q/k/v
+    interleaved, one d_head column block each. Layer norms draw nothing."""
+    d, f, dh = c.d_model, c.d_ffn, c.d_model // c.n_heads
+    shapes, draws = {}, []
+
+    def weight(name, fan_in, fan_out):
+        shapes[name] = (fan_in, fan_out)
+        draws.append((name, slice(None)))
+
+    def mha(prefix):
+        shapes.update({f"{prefix}.{w}": (d, d) for w in ("wq", "wk", "wv")})
+        draws.extend((f"{prefix}.{w}", slice(h * dh, (h + 1) * dh))
+                     for h in range(c.n_heads) for w in ("wq", "wk", "wv"))
+        weight(f"{prefix}.wo", d, d)
+
+    def ffn(prefix):
+        weight(f"{prefix}.w1", d, f)
+        weight(f"{prefix}.w2", f, d)
+        shapes.update({f"{prefix}.b1": (f,), f"{prefix}.b2": (d,)})
+
+    weight("enc_embed.w", c.n_features, d)
+    weight("dec_embed.w", 1, d)
+    norms = [f"enc.{i}.ln{j}" for i in range(c.n_encoder_layers) for j in (1, 2)]
+    norms += [f"dec.{i}.ln{j}" for i in range(c.n_decoder_layers) for j in (1, 2, 3)]
+    shapes.update({f"{ln}.{p}": (d,) for ln in norms for p in ("gamma", "beta")})
+    for i in range(c.n_encoder_layers):
+        mha(f"enc.{i}.attn")
+        ffn(f"enc.{i}.ffn")
+    for i in range(c.n_decoder_layers):
+        mha(f"dec.{i}.self_attn")
+        mha(f"dec.{i}.cross_attn")
+        ffn(f"dec.{i}.ffn")
+    if c.output_head == "linear":
+        weight("head.w", d, 1)
+        shapes["head.b"] = (1,)
+    else:
+        weight("head.w1", d, d)
+        weight("head.w2", d, 1)
+        shapes.update({"head.b1": (d,), "head.b2": (1,)})
+    return shapes, draws
 
 
 class TransformerModel:
     """Parameter container plus the forward / autoregressive-predict paths.
 
-    Parameters live in an ordered name->Tensor map; shapes are a pure
-    function of the config. Seed None leaves every parameter zero with no
-    RNG draw, for callers that overwrite them all (load_checkpoint).
+    Every parameter is a view of one float64 vector, `flat`, in checkpoint
+    manifest (sorted-name) order, as is the name->Tensor map `params`; so
+    parameters change only in place. Shapes are a pure function of the
+    config. Seed None leaves the vector zero with no RNG draw, for callers
+    that overwrite it (load_checkpoint).
 
     The forward pieces take one sample (L x n_features window, H x 1 decoder
     input) or a batch of them stacked on a leading axis.
@@ -106,67 +145,26 @@ class TransformerModel:
 
     def __init__(self, config: ModelConfig, seed: int | None = 0):
         self.config = config
-        self.params: dict[str, Tensor] = {}
         self.pe = PositionalEncoding(max(config.lookback, config.horizon), config.d_model)
-        self._init_params(None if seed is None else np.random.default_rng(seed))
-
-    # -- construction -------------------------------------------------------
-
-    def _add(self, name, arr):
-        self.params[name] = Tensor(arr, requires_grad=True)
-
-    def _add_mha(self, prefix, rng):
-        """Fused d x d Q/K/V with head h as column block h, drawn head by head,
-        q/k/v interleaved, each block Glorot with fan_out d_head."""
-        d, n_heads = self.config.d_model, self.config.n_heads
-        d_head = d // n_heads
-        fused = [np.zeros((d, d)) for _ in range(3)]
-        for h in range(n_heads if rng is not None else 0):   # no draw: all zero
-            for w in fused:
-                w[:, h * d_head:(h + 1) * d_head] = _glorot(rng, d, d_head)
-        for name, w in zip(("wq", "wk", "wv"), fused):
-            self._add(f"{prefix}.{name}", w)
-        self._add(f"{prefix}.wo", _glorot(rng, d, d))
-
-    def _add_ln(self, prefix):
-        d = self.config.d_model
-        self._add(f"{prefix}.gamma", np.ones(d))
-        self._add(f"{prefix}.beta", np.zeros(d))
-
-    def _add_ffn(self, prefix, rng):
-        c = self.config
-        self._add(f"{prefix}.w1", _glorot(rng, c.d_model, c.d_ffn))
-        self._add(f"{prefix}.b1", np.zeros(c.d_ffn))
-        self._add(f"{prefix}.w2", _glorot(rng, c.d_ffn, c.d_model))
-        self._add(f"{prefix}.b2", np.zeros(c.d_model))
-
-    def _init_params(self, rng):
-        c = self.config
-        self._add("enc_embed.w", _glorot(rng, c.n_features, c.d_model))
-        self._add("dec_embed.w", _glorot(rng, 1, c.d_model))
-        for i in range(c.n_encoder_layers):
-            self._add_mha(f"enc.{i}.attn", rng)
-            self._add_ln(f"enc.{i}.ln1")
-            self._add_ffn(f"enc.{i}.ffn", rng)
-            self._add_ln(f"enc.{i}.ln2")
-        for i in range(c.n_decoder_layers):
-            self._add_mha(f"dec.{i}.self_attn", rng)
-            self._add_ln(f"dec.{i}.ln1")
-            self._add_mha(f"dec.{i}.cross_attn", rng)
-            self._add_ln(f"dec.{i}.ln2")
-            self._add_ffn(f"dec.{i}.ffn", rng)
-            self._add_ln(f"dec.{i}.ln3")
-        if c.output_head == "linear":
-            self._add("head.w", _glorot(rng, c.d_model, 1))
-            self._add("head.b", np.zeros(1))
-        else:
-            self._add("head.w1", _glorot(rng, c.d_model, c.d_model))
-            self._add("head.b1", np.zeros(c.d_model))
-            self._add("head.w2", _glorot(rng, c.d_model, 1))
-            self._add("head.b2", np.zeros(1))
+        shapes, draws = _layout(config)
+        names = sorted(shapes)
+        sizes = [math.prod(shapes[n]) for n in names]
+        self.flat = np.zeros(sum(sizes))
+        self.params = {n: Tensor(v.reshape(shapes[n]), requires_grad=True)
+                       for n, v in zip(names, np.split(self.flat, np.cumsum(sizes)[:-1]))}
+        if seed is None:
+            return
+        rng = np.random.default_rng(seed)
+        for name, cols in draws:        # each block drawn into its own view
+            block = self.params[name].data[:, cols]
+            limit = math.sqrt(6.0 / sum(block.shape))
+            block[...] = rng.uniform(-limit, limit, size=block.shape)
+        for name, t in self.params.items():
+            if name.endswith(".gamma"):
+                t.data[...] = 1.0
 
     def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+        return self.flat.size
 
     def zero_grads(self):
         for t in self.params.values():
@@ -335,17 +333,17 @@ class TransformerModel:
             if arr.shape != self.params[name].data.shape:
                 raise DataError(f"parameter {name}: shape {arr.shape} != "
                                 f"{self.params[name].data.shape}")
-            self.params[name].data = np.asarray(arr, dtype=np.float64)
+            self.params[name].data[...] = arr
 
 
 # ---------------------------------------------------------------------------
 # checkpoint format: one JSON header line (config, normalizer, parameter
-# manifest, version), then the raw little-endian float64 parameter buffers in
-# manifest order. Fully deterministic bytes for a given model state.
+# manifest, version), then the model's parameter vector `flat`: every
+# parameter in manifest order, raw little-endian float64. Fully
+# deterministic bytes for a given model state.
 
 def _manifest(model: TransformerModel) -> list:
-    return [{"name": n, "shape": list(model.params[n].data.shape)}
-            for n in sorted(model.params)]
+    return [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()]
 
 
 def save_checkpoint(model: TransformerModel, normalizer, path) -> None:
@@ -359,9 +357,7 @@ def save_checkpoint(model: TransformerModel, normalizer, path) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         f.write(b"\n")
-        for entry in header["params"]:
-            f.write(np.ascontiguousarray(model.params[entry["name"]].data,
-                                         dtype="<f8").tobytes())
+        f.write(model.flat)
 
 
 def _config_from_header(config) -> ModelConfig:
@@ -414,21 +410,13 @@ def load_checkpoint(path):
         model = TransformerModel(_config_from_header(header["config"]), seed=None)
         if header["params"] != _manifest(model):
             raise DataError("checkpoint parameter manifest does not match its config")
-        # every buffer in one read; each parameter is a view of the array
-        shapes = [tuple(entry["shape"]) for entry in header["params"]]
-        flat = np.empty(sum(math.prod(s) for s in shapes), dtype="<f8")
-        if f.readinto(flat) != flat.nbytes:
+        if f.readinto(model.flat) != model.flat.nbytes:
             raise DataError("checkpoint truncated")
         if f.read(1):
             raise DataError("checkpoint has bytes after the last parameter buffer")
-        state, start = {}, 0
-        for entry, shape in zip(header["params"], shapes):
-            arr = flat[start:start + math.prod(shape)].reshape(shape)
-            start += arr.size
-            if not np.isfinite(arr).all():
-                raise DataError(f"checkpoint parameter {entry['name']} holds non-finite values")
-            state[entry["name"]] = arr
-        model.load_state_arrays(state)
+        if not np.isfinite(model.flat).all():
+            name = next(n for n, t in model.params.items() if not np.isfinite(t.data).all())
+            raise DataError(f"checkpoint parameter {name} holds non-finite values")
     norm = None
     if header["normalizer"] is not None:
         norm = _normalizer_from_header(header["normalizer"], model.config.n_features)

@@ -27,9 +27,10 @@ _LEAKY_SLOPE = 0.01
 class Tensor:
     """A numpy array plus an optional gradient and a backward closure.
 
-    The constructor makes leaves; op nodes come only from the ops. Data is
-    immutable by convention. .grad accumulates on leaves (reset via
-    zero_grad); an op node holds one only during a backward sweep.
+    The constructor makes leaves; op nodes come only from the ops. Parameters
+    change in place, only between graphs; other data never changes. .grad
+    accumulates on leaves (reset via zero_grad); an op node holds one only
+    during a backward sweep.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
@@ -55,9 +56,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):

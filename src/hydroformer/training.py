@@ -45,34 +45,34 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard bias-corrected Adam over a name->Tensor parameter map."""
+    """Standard bias-corrected Adam over a parameter vector `flat`, tiled in
+    order by the views of the name->Tensor map `params` (a model's `flat`
+    and `params`). A missing gradient counts as zero."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.params = params
+    def __init__(self, params: dict, flat: np.ndarray, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.params, self.flat = params, flat
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
     def step(self, lr: float) -> None:
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                            for p in self.params.values()])
+        if not np.isfinite(g).all():
+            name = next(n for n, p in self.params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.flat -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
 
 @dataclass
@@ -210,10 +210,10 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                           f"{model.config.horizon}")
 
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(model.params)
+    optimizer = Adam(model.params, model.flat)
     stopper = EarlyStopper(cfg.early_stop_patience, cfg.min_delta)
     curve = LossCurve()
-    best_state = model.state_arrays()
+    best_state = model.flat.copy()
 
     n = len(train.windows)
     sub = sub_batch_size(model.config)
@@ -241,12 +241,20 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
         curve.epochs.append((train_loss, val_loss))
         stop = stopper.update(epoch, val_loss)
         if stopper.best_epoch == epoch:
-            best_state = model.state_arrays()
+            best_state = model.flat.copy()
         if stop:
             break
     curve.best_epoch = stopper.best_epoch
-    model.load_state_arrays(best_state)
+    model.flat[:] = best_state
     return curve
+
+
+def check_leads(leads, horizon: int) -> list:
+    """The distinct leads, sorted; ConfigError unless all lie in [1, horizon]."""
+    leads = sorted(set(int(x) for x in leads))
+    if any(lead < 1 or lead > horizon for lead in leads):
+        raise ConfigError(f"leads {leads} must lie in [1, horizon={horizon}]")
+    return leads
 
 
 def evaluate_split(model, dataset: WindowedDataset, split: str, leads,
@@ -257,10 +265,7 @@ def evaluate_split(model, dataset: WindowedDataset, split: str, leads,
     (MetricReport, per-lead prediction series) where each series is a list of
     (anchor_date, actual, predicted) rows. A split of fewer than 2 windows
     raises DataError."""
-    leads = sorted(set(int(x) for x in leads))
-    horizon = model.config.horizon
-    if any(lead < 1 or lead > horizon for lead in leads):
-        raise ConfigError(f"leads {leads} must lie in [1, horizon={horizon}]")
+    leads = check_leads(leads, model.config.horizon)
     samples = dataset.split(split)
     n = len(samples.windows)
     if n < 2:

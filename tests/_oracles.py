@@ -5,6 +5,7 @@ numpy, no masking kernels, no autograd. The two exceptions are ref_rollout,
 the per-window rollout loop, which drives the model's own forward pieces,
 and ref_backward, a second sweep over the package's own tape. The Shapley
 references walk coalitions one at a time through a per-call dict cache.
+ref_adam_step updates parameters tensor by tensor, with per-name moments.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from hydroformer.data import TARGET_INDEX
-from hydroformer.errors import ConfigError, ShapeError
+from hydroformer.errors import ConfigError, NumericError, ShapeError
 from hydroformer.explain import EXACT_CAP, Explanation
 from hydroformer.tensor import no_grad
 
@@ -158,6 +159,25 @@ def ref_backward(loss) -> None:
                 pending[id(parent)] = pending[id(parent)] + pg
             else:
                 pending[id(parent)] = pg
+
+
+def ref_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step t (counted from 1) of bias-corrected Adam as a loop over name->
+    array dicts: params and the moments m and v are updated entry by entry,
+    and a parameter whose gradient is None is skipped."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name}")
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        params[name] = p - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
 def _ref_masked_value(vf, bitmask, cache):

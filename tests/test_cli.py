@@ -146,6 +146,7 @@ class TestTrainEvaluate:
                        "--data", str(trained_run["data"]), "--leads", "5",
                        "--out", str(tmp_path / "e2")])
         assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "e2").exists()
 
     def test_missing_data_file_is_data_error(self, trained_run, tmp_path, capsys):
         rc = cli.main(["evaluate", "--checkpoint", str(trained_run["checkpoint"]),
@@ -205,7 +206,7 @@ def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corru
 def test_numeric_error_names_the_layer(trained_run, tmp_path, capsys):
     model, norm = load_checkpoint(trained_run["checkpoint"])
     wq = model.params["dec.1.cross_attn.wq"]
-    wq.data = np.full_like(wq.data, 1e308)
+    wq.data[...] = 1e308
     huge = tmp_path / "huge.bin"
     save_checkpoint(model, norm, huge)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,6 +332,19 @@ class TestExplainCommand:
                       "--estimator", "exact", "--exact-cap", "20",
                       "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_exact_over_cap_refused_before_out(self, trained_run, tmp_path, capsys,
+                                                monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(cli.explain_mod, "_values", no_work)
+        rc = cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                       "--data", str(trained_run["data"]), "--global", "--sample", "1",
+                       "--estimator", "exact", "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_CONFIG
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_lead_beyond_horizon_is_config_error(self, trained_run, tmp_path, capsys):
         rc = cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hydroformer.errors import ConfigError, DataError, NumericError, ShapeError
 from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
                                checkpoint_digest, load_checkpoint, save_checkpoint)
 from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse
+from hydroformer.training import TrainConfig, fit
 
 from _oracles import ref_layer_norm, ref_rollout
 
@@ -69,7 +72,7 @@ class TestPositionalEncoding:
 class TestEmbed:
     def test_zero_weight_gives_positional_table(self):
         model = TransformerModel(tiny_config(), seed=0)
-        model.params["enc_embed.w"].data = np.zeros_like(model.params["enc_embed.w"].data)
+        model.params["enc_embed.w"].data[...] = 0.0
         window = np.ones((6, 19))
         out = model.embed_encoder(window)
         assert np.array_equal(out.data, model.pe.slice(6))
@@ -95,7 +98,7 @@ class TestEncoder:
         model = TransformerModel(cfg, seed=2)
         for name, t in model.params.items():
             if name.startswith("enc.0.") and "ln" not in name:
-                t.data = np.zeros_like(t.data)
+                t.data[...] = 0.0
         x = np.random.default_rng(2).standard_normal((6, 8))
         out = model.encoder_forward(Tensor(x))
         # attention output is V W_O = 0, so the layer is LN(LN(x))
@@ -200,8 +203,8 @@ class TestOutputHead:
     def test_nonlinear_collapse_to_bias(self):
         cfg = tiny_config(output_head="nonlinear")
         model = TransformerModel(cfg, seed=6)
-        model.params["head.w2"].data = np.zeros_like(model.params["head.w2"].data)
-        model.params["head.b2"].data = np.array([4.5])
+        model.params["head.w2"].data[...] = 0.0
+        model.params["head.b2"].data[...] = 4.5
         d = Tensor(np.random.default_rng(6).standard_normal((3, 8)))
         assert np.allclose(model.output_head(d).data, 4.5, atol=1e-15)
 
@@ -217,7 +220,7 @@ class TestOutputHead:
     def test_linear_head_zero_input_gives_bias(self):
         cfg = tiny_config()
         model = TransformerModel(cfg, seed=8)
-        model.params["head.b"].data = np.array([2.25])
+        model.params["head.b"].data[...] = 2.25
         out = model.output_head(Tensor(np.zeros((3, 8))))
         assert np.allclose(out.data, 2.25, atol=1e-15)
 
@@ -256,9 +259,9 @@ class TestForward:
         p = model.params
         # ln1's output and the FFN's output are each about 1e308 and finite;
         # their residual sum is not
-        p["enc.0.ln1.beta"].data = np.full(cfg.d_model, 1e308)
-        p["enc.0.ffn.w1"].data = np.zeros_like(p["enc.0.ffn.w1"].data)
-        p["enc.0.ffn.b2"].data = np.full(cfg.d_model, 1e308)
+        p["enc.0.ln1.beta"].data[...] = 1e308
+        p["enc.0.ffn.w1"].data[...] = 0.0
+        p["enc.0.ffn.b2"].data[...] = 1e308
         rng = np.random.default_rng(13)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericError, match=r"^enc\.0\.ln2: layer_norm produced non-finite"):
@@ -465,6 +468,74 @@ class TestParameters:
             model.load_state_arrays(state)
 
 
+def assert_views_tile_flat(model):
+    """Every parameter is a C-contiguous view of model.flat, and the views
+    tile the vector in manifest (sorted-name) order."""
+    assert list(model.params) == sorted(model.params)
+    base = model.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, t in model.params.items():
+        assert np.shares_memory(t.data, model.flat), name
+        assert t.data.flags.c_contiguous, name
+        assert t.data.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += t.data.size
+    assert offset == model.flat.size
+
+
+DESK = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
+                              lookback=30, horizon=7)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("seed", [0, None])
+    def test_construction(self, seed):
+        assert_views_tile_flat(TransformerModel(DESK, seed=seed))
+
+    def test_seed_none_is_all_zero(self):
+        assert not TransformerModel(tiny_config(), seed=None).flat.any()
+
+    def test_load_checkpoint(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(TransformerModel(DESK, seed=1), None, path)
+        assert_views_tile_flat(load_checkpoint(path)[0])
+
+    def test_load_state_arrays(self):
+        model = TransformerModel(tiny_config(), seed=2)
+        state = TransformerModel(tiny_config(), seed=3).state_arrays()
+        model.load_state_arrays(state)
+        assert_views_tile_flat(model)
+        assert np.array_equal(model.flat, np.concatenate([a.ravel() for a in state.values()]))
+
+    def test_fit(self):
+        cfg = tiny_config()
+        model = TransformerModel(cfg, seed=4)
+        before = model.flat.copy()
+        fit(model, D.make_windows(D.synth_generate(seed=4, length=400), cfg.lookback,
+                                  cfg.horizon),
+            TrainConfig(max_epochs=2, learning_rate=1e-2, seed=4))
+        assert_views_tile_flat(model)
+        assert not np.array_equal(model.flat, before)
+
+    def test_build_save_load_peak_under_one_and_a_half_parameter_copies(self, tmp_path):
+        """Neither save nor load may hold a second full copy of the
+        parameters: the traced peak of build, save and load in turn stays
+        under 1.5x the parameter bytes."""
+        path = tmp_path / "c.bin"
+
+        def build_save_load():
+            save_checkpoint(TransformerModel(DESK, seed=5), None, path)
+            return load_checkpoint(path)[0].flat.nbytes
+
+        nbytes = build_save_load()      # untraced: first-use imports and caches
+        tracemalloc.start()
+        try:
+            build_save_load()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nbytes, (peak, nbytes)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(output_head="nonlinear", attention_mode="sparse", k_sparse=3)
@@ -491,6 +562,18 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         for name in model.params:
             assert np.array_equal(loaded.params[name].data, model.params[name].data)
+
+    def test_pinned_bytes(self, tmp_path):
+        """The seeded draw order and the byte layout, pinned: a tiny sparse
+        model with the tanh-sandwich head, two heads and a fixed
+        normalizer."""
+        cfg = tiny_config(n_heads=2, output_head="nonlinear", attention_mode="sparse",
+                          k_sparse=3)
+        norm = D.Normalizer(mean=np.arange(19.0), std=np.linspace(0.5, 2.0, 19))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(TransformerModel(cfg, seed=19), norm, path)
+        assert checkpoint_digest(path) == ("7924fd42ff3e25f5ab38a096dcc5ee90"
+                                           "00184980cbfd745b3923f15c8e7fa882")
 
     def test_digest_stable_across_saves(self, tmp_path):
         model = TransformerModel(tiny_config(), seed=20)

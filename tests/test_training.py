@@ -14,7 +14,7 @@ from hydroformer.training import (FORWARD_BUDGET_BYTES, TAPE_BUDGET_BYTES, Adam,
                                   _sub_batches, evaluate_split, fit, forward_batch_size,
                                   sub_batch_size, teacher_forced_input)
 
-from _oracles import ref_rollout
+from _oracles import ref_adam_step, ref_rollout
 
 
 def small_dataset(seed=1, length=500, lookback=6, horizon=2):
@@ -32,21 +32,21 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, p.data)
         opt.step(lr=0.1)
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_bias_correction(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([1.0])
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, p.data)
         opt.step(lr=1e-3)
         # at t=1 both moment estimates bias-correct to g, so the step is -lr
         assert p.data[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_constant_gradient_step_approaches_lr(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, p.data)
         lr = 0.01
         prev = p.data.copy()
         for _ in range(500):
@@ -59,11 +59,11 @@ class TestAdam:
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([np.nan])
         with pytest.raises(NumericError, match="p"):
-            Adam({"p": p}).step(lr=0.1)
+            Adam({"p": p}, p.data).step(lr=0.1)
 
     def test_quadratic_bowl_decreases(self):
         theta = Tensor(np.array([3.0]), requires_grad=True)
-        opt = Adam({"theta": theta})
+        opt = Adam({"theta": theta}, theta.data)
         from hydroformer.tensor import mse
         loss0 = float(theta.data[0] ** 2)
         for _ in range(10):
@@ -71,6 +71,57 @@ class TestAdam:
             backward(mse(theta, Tensor(np.zeros(1))))
             opt.step(lr=1e-3)
         assert float(theta.data[0] ** 2) < loss0
+
+
+    def test_matches_per_tensor_oracle_on_sub_batched_gradients(self, monkeypatch):
+        """Five fit steps of a desk model, each batch of 49 samples in five
+        sub-batches: after every step the parameters and both moments equal
+        the per-tensor loop's, bit for bit."""
+        cfg = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
+                                     lookback=30, horizon=7)
+        model = TransformerModel(cfg, seed=4)
+        ds = D.make_windows(D.synth_generate(seed=4, length=400), 30, 7)
+        batch_size = -(-len(ds.split("train").windows) // 5)
+        assert batch_size > 4 * training.sub_batch_size(cfg)
+        ref = model.state_arrays()
+        ref_m = {n: np.zeros_like(a) for n, a in ref.items()}
+        ref_v = {n: np.zeros_like(a) for n, a in ref.items()}
+        steps = []
+        original = Adam.step
+
+        def step(opt, lr):
+            grads = {n: p.grad for n, p in opt.params.items()}
+            ref_adam_step(ref, grads, ref_m, ref_v, opt.step_count + 1, lr)
+            original(opt, lr)
+            steps.append(opt.step_count)
+            for n, p in opt.params.items():
+                assert np.array_equal(p.data, ref[n]), n
+            assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m.values()]))
+            assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v.values()]))
+
+        monkeypatch.setattr(Adam, "step", step)
+        fit(model, ds, TrainConfig(batch_size=batch_size, learning_rate=1e-3, max_epochs=1,
+                                   seed=4))
+        assert steps == [1, 2, 3, 4, 5]
+
+    def test_nan_gradient_names_the_parameter_and_changes_nothing(self):
+        model = small_model(seed=9)
+        opt = Adam(model.params, model.flat)
+        for p in model.params.values():
+            p.grad = np.ones_like(p.data)
+        model.params["dec.0.cross_attn.wk"].grad = None
+        model.params["dec.1.ffn.w1"].grad[2, 3] = np.nan
+        before = model.flat.copy()
+        with pytest.raises(NumericError, match=r"^non-finite gradient for parameter "
+                                               r"dec\.1\.ffn\.w1$"):
+            opt.step(lr=0.1)
+        assert np.array_equal(model.flat, before)
+        assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
+        state = model.state_arrays()
+        with pytest.raises(NumericError, match=r"parameter dec\.1\.ffn\.w1$"):
+            ref_adam_step(state, {n: p.grad for n, p in model.params.items()},
+                          {n: np.zeros_like(a) for n, a in state.items()},
+                          {n: np.zeros_like(a) for n, a in state.items()}, 1, 0.1)
 
 
 class TestEarlyStopper:
