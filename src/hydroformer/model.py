@@ -11,8 +11,8 @@ import numpy as np
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, activation, last_row, layer_norm, linear, matmul,
-                     no_grad, swap_leading)
+from .tensor import (ACTIVATIONS, Tensor, activation, grad_enabled, last_row, layer_norm,
+                     linear, matmul, no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -193,11 +193,13 @@ class TransformerModel:
         except NumericError as e:
             raise NumericError(f"{prefix}: {e}") from e
 
-    def _mha(self, prefix, q_in, kv, causal=False, newest_only=False):
+    def _mha(self, prefix, q_in, kv, causal=False):
         """kv is the Tensor that self-attention projects to K and V, passed
-        as the same Tensor as q_in (perfbench's tracer tells self from cross
-        attention by that identity), or a cross-attention (K, V) pair from
-        cross_kv, already projected."""
+        as the same Tensor as q_in, or a (K, V) pair already projected: the
+        cross-attention pair from cross_kv, or a rollout's decoder
+        self-attention pair from its cache. perfbench's tracer tells self
+        from cross attention by that identity, so it files the cached
+        decoder self-attention as cross."""
         p = self.params
         if isinstance(kv, Tensor):
             k_in = v_in = kv
@@ -207,8 +209,7 @@ class TransformerModel:
         weights = (p[f"{prefix}.wq"], wk, wv, p[f"{prefix}.wo"])
         try:
             return multi_head(q_in, k_in, v_in, weights, self.config.n_heads,
-                              self.config.effective_k(k_in.data.shape[-2]), causal,
-                              newest_only)
+                              self.config.effective_k(k_in.data.shape[-2]), causal)
         except NumericError as e:
             raise NumericError(f"{prefix}: {e}") from e
 
@@ -258,22 +259,52 @@ class TransformerModel:
                 raise NumericError(f"{prefix}: {e}") from e
         return pairs
 
-    def decoder_forward(self, y_emb: Tensor, memory_kv, newest_only: bool = False) -> Tensor:
-        """y_emb time-major as embed_decoder returns it, memory_kv as
-        cross_kv returns it; returns H x d or B x H x d decoder states.
+    def _cached_kv(self, prefix, y, entry):
+        """Layer entry (K, V) of a rollout cache, or None, with y's rows
+        projected and appended; returns the new entry. Plain arrays, as the
+        rows are joined off the tape."""
+        p = self.params
+        try:
+            kv = (matmul(y, p[f"{prefix}.wk"]).data, matmul(y, p[f"{prefix}.wv"]).data)
+        except NumericError as e:
+            raise NumericError(f"{prefix}: {e}") from e
+        if entry is None:
+            return kv
+        return tuple(np.concatenate(pair, axis=-2) for pair in zip(entry, kv))
 
-        newest_only returns the newest row's state alone (1 x d or
-        B x 1 x d), which is all a rollout step reads. The last layer then
-        takes its self-attention query, residual, cross-attention and FFN
-        for that row only; every lower layer still runs over all rows,
-        because the newest row attends to their outputs. Teacher forcing
-        keeps all rows."""
+    def decoder_forward(self, y_emb: Tensor, memory_kv, cache=None) -> Tensor:
+        """y_emb time-major as embed_decoder returns it, memory_kv as
+        cross_kv returns it.
+
+        cache None is teacher forcing: every row runs through every layer
+        under the causal mask; returns H x d or B x H x d decoder states.
+
+        A rollout passes cache, a list with one entry per layer: None, or
+        the (K, V) self-attention arrays of the first c rows, already
+        decoded. y_emb still holds the whole prefix, so every row keeps its
+        positional row, but only the rows after the first c run: all of
+        them with an empty cache, one otherwise (more fail the causal mask's
+        shape check). Each layer appends their K/V to its entry, and their
+        queries attend to every cached key. The last layer runs the newest
+        row only, whose state (1 x d or B x 1 x d) is returned. The cache is
+        joined off the tape, so it needs no_grad."""
+        if cache is not None and grad_enabled():
+            raise RuntimeError("decoder_forward: a rollout cache records no gradients; "
+                               "call it under no_grad")
         y = swap_leading(y_emb) if y_emb.data.ndim == 3 else y_emb
+        if cache is not None and cache[0] is not None:
+            y = Tensor(y.data[..., cache[0][0].shape[-2]:, :])     # the rows not yet decoded
         n = self.config.n_decoder_layers
         for i in range(n):
-            newest = newest_only and i == n - 1
-            attn = self._mha(f"dec.{i}.self_attn", y, y, causal=True, newest_only=newest)
-            y = self._ln(f"dec.{i}.ln1", last_row(y) if newest else y, attn)
+            prefix, kv = f"dec.{i}.self_attn", y
+            if cache is not None:
+                cache[i] = self._cached_kv(prefix, y, cache[i])
+                kv = tuple(Tensor(a) for a in cache[i])
+                if i == n - 1 and y.data.shape[-2] > 1:
+                    y = last_row(y)
+            # one query row attends every key: its row of the causal mask
+            attn = self._mha(prefix, y, kv, causal=y.data.shape[-2] > 1)
+            y = self._ln(f"dec.{i}.ln1", y, attn)
             y = self._ln(f"dec.{i}.ln2", y, self._mha(f"dec.{i}.cross_attn", y, memory_kv[i]))
             y = self._ln(f"dec.{i}.ln3", y, self._ffn(f"dec.{i}.ffn", y))
         return y
@@ -304,19 +335,25 @@ class TransformerModel:
         (horizon, 1) array; a B x L x F stack runs as one batch through the
         same ops and returns B x horizon x 1. Records no tape.
 
-        The memory's cross-attention K/V are made once per rollout. Each
-        step runs the decoder over the whole prefix, since in sparse mode
-        the lower layers' rows change with k = effective_k(prefix), and the
-        last layer and the head over the newest row only."""
+        The memory's cross-attention K/V are made once per rollout. Step t
+        decodes incrementally: every decoder layer keeps the self-attention
+        K/V of the rows before it, so only the newest row runs. In sparse
+        mode a row's top-k depends on k = effective_k(t); when k changes
+        (k = ceil(t/4) changes at t = 5, 9, ...), the earlier rows' states
+        change, so the step drops the cache and decodes all t rows again.
+        The head runs on the newest row only."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = np.asarray(window, dtype=np.float64)
         with no_grad():
             memory_kv = self.cross_kv(self.encoder_forward(self.embed_encoder(window)))
             dec = window[..., -1:, TARGET_INDEX, None]        # (..., 1, 1) start token
-            for _ in range(horizon):
-                state = self.decoder_forward(self.embed_decoder(dec), memory_kv,
-                                             newest_only=True)
+            k = None
+            for t in range(1, horizon + 1):
+                k_prev, k = k, self.config.effective_k(t)
+                if t == 1 or k != k_prev:
+                    cache = [None] * self.config.n_decoder_layers
+                state = self.decoder_forward(self.embed_decoder(dec), memory_kv, cache)
                 dec = np.concatenate((dec, self.output_head(state).data), axis=-2)
         return dec[..., 1:, :]
 

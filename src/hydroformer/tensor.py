@@ -88,6 +88,11 @@ def no_grad():
         _grad_enabled = previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the tape here: False inside no_grad."""
+    return _grad_enabled
+
+
 def _make(data, parents, backward_fn, opname):
     """The Tensor an op made: data is already a float64 array and parents a
     tuple, so the slots are set directly, without __init__'s conversions.

@@ -257,17 +257,18 @@ class TestMultiHead:
     @pytest.mark.parametrize("k_sparse", [None, 1, 2, 9])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_newest_row_and_projected_kv_match_oracle(self, n_heads, k_sparse, batch):
-        """newest_only gives the last row of the causal self-attention
-        oracle; keys and values projected before the call (wk, wv None)
-        give the cross-attention oracle."""
+        """Keys and values projected before the call (wk, wv None) give the
+        cross-attention oracle; with the last query row alone and no mask,
+        the causal self-attention oracle's last row, as a decoder step with
+        cached K/V computes it."""
         rng = np.random.default_rng(30 + n_heads)
         d = 8
         params = self._params(rng, d)
         wq, wk, wv = (np.hsplit(w.data, n_heads) for w in params[:3])
         wo = params[3].data
         x, memory = rng.standard_normal(batch + (6, d)), rng.standard_normal(batch + (7, d))
-        newest = multi_head(t(x), t(x), t(x), params, n_heads, k_sparse=k_sparse,
-                            causal=True, newest_only=True).data
+        newest = multi_head(t(x[..., -1:, :]), t(x @ params[1].data), t(x @ params[2].data),
+                            (params[0], None, None, params[3]), n_heads, k_sparse=k_sparse).data
         k, v = t(memory @ params[1].data), t(memory @ params[2].data)
         cross = multi_head(t(x), k, v, (params[0], None, None, params[3]), n_heads,
                            k_sparse=k_sparse).data

@@ -151,8 +151,7 @@ class TestDecoder:
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
     def test_matches_hand_assembled_layers(self, mode, batch):
         """Teacher-forced decoder_forward equals its layers assembled by hand
-        from multi_head (memory projected inside it), layer_norm and _ffn;
-        newest_only gives the last row of the same states."""
+        from multi_head (memory projected inside it), layer_norm and _ffn."""
         cfg = tiny_config(horizon=5, n_heads=2, attention_mode=mode)
         model = TransformerModel(cfg, seed=23)
         rng = np.random.default_rng(23)
@@ -160,7 +159,6 @@ class TestDecoder:
         memory = model.encoder_forward(model.embed_encoder(windows))
         emb = model.embed_decoder(rng.standard_normal(batch + (5, 1)))
         out = model.decoder_forward(emb, model.cross_kv(memory))
-        newest = model.decoder_forward(emb, model.cross_kv(memory), newest_only=True)
 
         p = model.params
         y = Tensor(emb.data.swapaxes(0, 1) if batch else emb.data)
@@ -178,8 +176,49 @@ class TestDecoder:
             y = ln("ln2", add(y, cross))
             y = ln("ln3", add(y, model._ffn(f"dec.{i}.ffn", y)))
         assert np.max(np.abs(out.data - y.data)) <= 1e-12
-        assert newest.data.shape == batch + (1, cfg.d_model)
-        assert np.max(np.abs(newest.data - y.data[..., -1:, :])) <= 1e-12
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("mode,k", [("dense", None), ("sparse", 2), ("sparse", None)])
+    def test_cached_rows_match_teacher_forced_states(self, mode, k, batch):
+        """With an empty rollout cache, the whole prefix gives the
+        teacher-forced last row; while k holds (dense, or a fixed k_sparse),
+        prefixes one row longer per call give every teacher-forced row in
+        turn. With k None, k changes with the prefix, so only the first
+        call matches."""
+        cfg = tiny_config(horizon=5, n_heads=2, n_decoder_layers=3, attention_mode=mode,
+                          k_sparse=k)
+        model = TransformerModel(cfg, seed=24)
+        rng = np.random.default_rng(24)
+        windows = rng.standard_normal(batch + (cfg.lookback, cfg.n_features))
+        dec = rng.standard_normal(batch + (5, 1))
+        with tensor_mod.no_grad():
+            memory_kv = model.cross_kv(model.encoder_forward(model.embed_encoder(windows)))
+            full = model.decoder_forward(model.embed_decoder(dec), memory_kv).data
+            cache = [None] * 3
+            last = model.decoder_forward(model.embed_decoder(dec), memory_kv, cache).data
+            assert last.shape == batch + (1, cfg.d_model)
+            assert np.max(np.abs(last - full[..., -1:, :])) <= 1e-12
+            assert [kv[0].shape for kv in cache] == [batch + (5, cfg.d_model)] * 3
+            if k is None and mode == "sparse":
+                return
+            cache = [None] * 3
+            for t in range(5):
+                prefix = model.embed_decoder(dec[..., :t + 1, :])
+                state = model.decoder_forward(prefix, memory_kv, cache).data
+                assert np.max(np.abs(state - full[..., t:t + 1, :])) <= 1e-12
+
+    def test_cache_refused_while_recording(self):
+        """The cache is joined off the tape, so gradients through it would
+        be lost: a cached call outside no_grad raises and changes no entry."""
+        cfg = tiny_config()
+        model = TransformerModel(cfg, seed=25)
+        memory = model.encoder_forward(model.embed_encoder(
+            rand_window(np.random.default_rng(25), cfg)))
+        cache = [None] * cfg.n_decoder_layers
+        with pytest.raises(RuntimeError, match="no_grad"):
+            model.decoder_forward(model.embed_decoder(np.array([[0.3]])),
+                                  model.cross_kv(memory), cache)
+        assert cache == [None] * cfg.n_decoder_layers
 
     def test_batched_rows_reach_the_decoder_time_major(self):
         cfg = tiny_config(horizon=3)
@@ -269,9 +308,10 @@ class TestForward:
 
     def test_tape_op_counts(self, monkeypatch):
         """Tape ops of the desk-scale sparse model with the tanh-sandwich
-        head: a lead-1 predict (one Shapley value-function call) and one
-        teacher-forced training graph of 8 samples. Splitting a fused op
-        (linear, the residual layer norm, scaled head scores) raises them."""
+        head: a lead-1 predict (one Shapley value-function call), an H=7
+        predict (k = ceil(t/4) changes at step 5) and one teacher-forced
+        training graph of 8 samples. Splitting a fused op (linear, the
+        residual layer norm, scaled head scores) raises them."""
         cfg = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
                                      lookback=30, horizon=7)
         model = TransformerModel(cfg, seed=14)
@@ -281,7 +321,10 @@ class TestForward:
         rng = np.random.default_rng(14)
         windows = rng.standard_normal((8, cfg.lookback, cfg.n_features))
         model.predict(windows[0], 1)
-        assert len(calls) == 59, calls
+        assert len(calls) == 57, calls
+        calls.clear()
+        model.predict(windows[0], 7)
+        assert len(calls) == 298, calls
         calls.clear()
         out = model.forward(windows, rng.standard_normal((8, cfg.horizon, 1)))
         mse(out, Tensor(rng.standard_normal((8, cfg.horizon, 1))))
@@ -349,6 +392,40 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict(np.zeros((6, 19)), 0)
 
+    @pytest.mark.parametrize("mode", ["dense", "sparse"])
+    def test_horizon_past_positional_table(self, mode):
+        """The table has max(lookback, horizon) = 6 rows. Step 7 computes its
+        newest row alone (sparse k = ceil(t/4) last changed at step 5), and
+        that row still needs table row 6."""
+        cfg = tiny_config(attention_mode=mode)
+        model = TransformerModel(cfg, seed=15)
+        window = rand_window(np.random.default_rng(15), cfg)
+        assert model.predict(window, 6).shape == (6, 1)
+        with pytest.raises(ShapeError, match="positional table"):
+            model.predict(window, 7)
+
+    @pytest.mark.parametrize("mode,k,rows", [("sparse", None, [11, 7]), ("dense", None, [7, 7]),
+                                             ("sparse", 3, [7, 7])])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_decoder_rows_per_window(self, monkeypatch, mode, k, rows, batch):
+        """Rows each decoder layer computes in an H=7 rollout, as seen by
+        its FFN: the lower layer recomputes the prefix only when k changes
+        (k None is ceil(t/4): 1+1+1+1+5+1+1 = 11 rows), the last layer one
+        row per step."""
+        cfg = ModelConfig.desk_scale(lookback=30, horizon=7, attention_mode=mode, k_sparse=k)
+        model = TransformerModel(cfg, seed=26)
+        seen = {}
+        ffn = TransformerModel._ffn
+
+        def counting(self, prefix, x):
+            seen[prefix] = seen.get(prefix, 0) + x.data.shape[-2]
+            return ffn(self, prefix, x)
+
+        monkeypatch.setattr(TransformerModel, "_ffn", counting)
+        model.predict(np.random.default_rng(26).standard_normal(
+            batch + (cfg.lookback, cfg.n_features)), 7)
+        assert [seen["dec.0.ffn"], seen["dec.1.ffn"]] == rows
+
     def test_one_window_or_a_stack(self):
         cfg = tiny_config(horizon=3)
         model = TransformerModel(cfg, seed=16)
@@ -361,16 +438,17 @@ class TestPredict:
 @settings(max_examples=60, deadline=None)
 @given(batch=st.integers(1, 5), n_heads=st.sampled_from([1, 2, 4]),
        mode=st.sampled_from(["dense", "sparse"]), k=st.one_of(st.none(), st.integers(1, 8)),
-       head=st.sampled_from(["linear", "nonlinear"]), horizon=st.integers(1, 5),
+       head=st.sampled_from(["linear", "nonlinear"]), horizon=st.integers(1, 9),
        n_decoder_layers=st.integers(1, 3), steps=st.data(), seed=st.integers(0, 2**16))
 def test_batched_predict_matches_per_window_rollout(batch, n_heads, mode, k, head, horizon,
                                                     n_decoder_layers, steps, seed):
     """A stacked rollout and a single window's rollout match the per-window
     rollout oracle, which recomputes every row and projection at every step,
-    to <= 1e-12 (the newest-row GEMMs of the last decoder layer round
-    differently from the oracle's full-prefix GEMMs). k None in sparse mode
-    is ceil(prefix / 4), which grows with the prefix; with one decoder layer
-    the newest-row layer is also the first."""
+    to <= 1e-12 (the newest-row GEMMs and the cached K/V, projected a few
+    rows at a time, round differently from the oracle's full-prefix GEMMs).
+    k None in sparse mode is ceil(prefix / 4), which changes at steps 5 and
+    9, where the rollout drops its cache; with one decoder layer the
+    newest-row layer is also the first."""
     cfg = ModelConfig(d_model=8, n_heads=n_heads, d_ffn=16, lookback=6, horizon=horizon,
                       n_decoder_layers=n_decoder_layers, attention_mode=mode,
                       k_sparse=k if mode == "sparse" else None, output_head=head)
