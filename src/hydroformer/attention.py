@@ -2,7 +2,8 @@
 masking, and multi-head composition. One path serves every head count and
 batch size: head h's scores are row block h of one stacked (n_heads * Lq) x Lk
 matrix per batch item, and masks of that matrix's shape are shared by every
-item of a batch."""
+item of a batch. Scores, top-k, softmax and the head mix run as one tape op,
+tensor.attention_core."""
 
 import math
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ShapeError
-from .tensor import Tensor, head_mix, head_scores, masked_softmax, matmul
+from .tensor import Tensor, attention_core, head_scores, matmul
 
 
 def default_k(length: int) -> int:
@@ -18,9 +19,13 @@ def default_k(length: int) -> int:
     return max(1, math.ceil(length / 4))
 
 
+def _scale(q: Tensor, n_heads: int) -> float:
+    return 1.0 / math.sqrt(q.data.shape[-1] // n_heads)
+
+
 def attention_scores(q: Tensor, k: Tensor, n_heads: int = 1) -> Tensor:
     """P = Q_h K_h^T / sqrt(d_head) per head, heads stacked as row blocks."""
-    return head_scores(q, k, n_heads, 1.0 / math.sqrt(q.data.shape[-1] // n_heads))
+    return head_scores(q, k, n_heads, _scale(q, n_heads))
 
 
 def topk_mask(scores: np.ndarray, k: int, allowed: np.ndarray | None = None) -> np.ndarray:
@@ -60,16 +65,10 @@ def causal_mask(length: int) -> np.ndarray:
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, k_sparse: int | None, causal: bool,
             n_heads: int = 1) -> Tensor:
-    p = attention_scores(q, k, n_heads)
     # one (n_heads * Lq) x Lk mask serves every batch item; a non-square
-    # causal mask fails the shape checks of topk_mask and masked_softmax
-    if causal:
-        allowed = np.tile(causal_mask(q.data.shape[-2]), (n_heads, 1))
-    else:
-        allowed = np.ones(p.data.shape[-2:], dtype=bool)
-    if k_sparse is not None:
-        allowed = topk_mask(p.data, k_sparse, allowed)
-    return head_mix(masked_softmax(p, allowed), v, n_heads)
+    # causal mask fails attention_core's shape check
+    allowed = np.tile(causal_mask(q.data.shape[-2]), (n_heads, 1)) if causal else None
+    return attention_core(q, k, v, n_heads, _scale(q, n_heads), allowed, k_sparse)
 
 
 def dense_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:

@@ -11,8 +11,8 @@ import numpy as np
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, activation, grad_enabled, last_row, layer_norm,
-                     linear, matmul, no_grad, swap_leading)
+from .tensor import (ACTIVATIONS, Tensor, grad_enabled, last_row, layer_norm, linear,
+                     matmul, mlp, no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -188,8 +188,8 @@ class TransformerModel:
     def _ffn(self, prefix, x):
         p = self.params
         try:
-            h = activation(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]), "relu")
-            return linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+            return mlp(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"],
+                       p[f"{prefix}.b2"], "relu")
         except NumericError as e:
             raise NumericError(f"{prefix}: {e}") from e
 
@@ -314,9 +314,8 @@ class TransformerModel:
         try:
             if self.config.output_head == "linear":
                 return linear(d, p["head.w"], p["head.b"])
-            hidden = activation(linear(d, p["head.w1"], p["head.b1"]),
-                                self.config.head_activation)
-            return linear(hidden, p["head.w2"], p["head.b2"])
+            return mlp(d, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
+                       self.config.head_activation)
         except NumericError as e:
             raise NumericError(f"head: {e}") from e
 

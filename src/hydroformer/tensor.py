@@ -12,6 +12,7 @@ ops record nothing at all.
 
 import heapq
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,9 +20,28 @@ import numpy as np
 from . import kernels
 from .errors import NumericError, ShapeError
 
-ACTIVATIONS = ("tanh", "relu", "sigmoid", "leaky_relu", "elu", "softplus")
-
 _LEAKY_SLOPE = 0.01
+
+# kind -> (y(x), dy/dx from the input x or the output y). Ops call the slope
+# in backward, so a no_grad pass never computes it.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(x.dtype)),
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
+    "leaky_relu": (lambda x: np.where(x > 0, x, _LEAKY_SLOPE * x),
+                   lambda x, y: np.where(x > 0, 1.0, _LEAKY_SLOPE)),
+    "elu": (lambda x: np.where(x > 0, x, np.expm1(x)),
+            lambda x, y: np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))),
+    "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: 1.0 / (1.0 + np.exp(-x))),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
+
+
+def _activation_fns(kind: str):
+    fns = _ACTIVATIONS.get(kind)
+    if fns is None:
+        raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+    return fns
 
 
 class Tensor:
@@ -67,7 +87,11 @@ class Tensor:
 
 
 def _check_finite(arr, opname):
-    if not np.isfinite(arr).all():
+    """NumericError unless every element of arr is finite. A finite sum rules
+    out NaN and inf in one pass; only a non-finite sum, which finite values
+    can also give by overflowing (numpy then warns), is checked element by
+    element."""
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NumericError(f"{opname} produced non-finite values")
 
 
@@ -125,23 +149,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd, "matmul")
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """x @ w + b for linear and mlp, and x as rows (x2) for their backward."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape}")
+    out_shape = x.shape[:-1] + w.shape[1:]
+    if out_shape[len(out_shape) - b.ndim:] != b.shape:
+        raise ShapeError(f"linear: {out_shape} + bias {b.shape}")
+    x2 = x.reshape(-1, w.shape[0])
+    return (x2 @ w).reshape(out_shape) + b, x2
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray, x2: np.ndarray, w: np.ndarray,
+                  b: np.ndarray):
+    """Gradients of x @ w + b for x, w and b, given the output gradient g."""
+    g2 = g.reshape(x2.shape[0], -1)
+    return (g2 @ w.T).reshape(x.shape), x2.T @ g2, g.reshape((-1,) + b.shape).sum(axis=0)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one op: (..., m, k) @ (k, n) plus b broadcast as in
     add_bias, a length-n bias row or an m x n table over the batch."""
-    if x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"linear: incompatible shapes {x.data.shape} x {w.data.shape}")
-    out_shape = x.data.shape[:-1] + w.data.shape[1:]
-    if out_shape[len(out_shape) - b.data.ndim:] != b.data.shape:
-        raise ShapeError(f"linear: {out_shape} + bias {b.data.shape}")
-    x2 = x.data.reshape(-1, w.data.shape[0])
-    out = (x2 @ w.data).reshape(out_shape) + b.data
+    out, x2 = _affine(x.data, w.data, b.data)
 
     def bwd(g):
-        g2 = g.reshape(x2.shape[0], -1)
-        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
-                g.reshape((-1,) + b.data.shape).sum(axis=0))
+        return _affine_grads(g, x.data, x2, w.data, b.data)
 
     return _make(out, (x, w, b), bwd, "linear")
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, kind: str) -> Tensor:
+    """linear(x, w1, b1) -> activation(kind) -> linear(., w2, b2) as one op,
+    bit for bit that chain in its output and every gradient. The hidden
+    pre-activation is checked for finite values as well as the output."""
+    pre, x2 = _affine(x.data, w1.data, b1.data)
+    _check_finite(pre, "mlp hidden layer")
+    act, slope = _activation_fns(kind)
+    h = act(pre)
+    out, h2 = _affine(h, w2.data, b2.data)
+
+    def bwd(g):
+        gh, gw2, gb2 = _affine_grads(g, h, h2, w2.data, b2.data)
+        return (gw2, gb2) + _affine_grads(gh * slope(pre, h), x.data, x2, w1.data, b1.data)
+
+    # parents in the order the chain sent their gradients (the second
+    # linear's first), so an input used twice sums them in the same order
+    return _make(out, (w2, b2, x, w1, b1), bwd, "mlp")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -257,67 +310,88 @@ def _same_batch(a: np.ndarray, b: np.ndarray) -> bool:
     return a.ndim >= 2 and b.ndim == a.ndim and a.shape[:-2] == b.shape[:-2]
 
 
+def _scores(q: np.ndarray, k: np.ndarray, n_heads: int, c: float):
+    """c * Q_h K_h^T of every head as row blocks, and q and k split into
+    heads, which backward keeps."""
+    if not _same_batch(q, k) or q.shape[-1] != k.shape[-1] or q.shape[-1] % n_heads:
+        raise ShapeError(f"head_scores: shapes {q.shape}, {k.shape}, {n_heads} heads")
+    qh, kh = _split_heads(q, n_heads), _split_heads(k, n_heads)
+    s = np.matmul(qh, kh.swapaxes(-1, -2)).reshape(q.shape[:-2] + (-1, k.shape[-2])) * c
+    return s, qh, kh
+
+
+def _scores_grads(g: np.ndarray, qh: np.ndarray, kh: np.ndarray, c: float):
+    """Gradients of _scores for q and k, given the scores' gradient g."""
+    gh = (g * c).reshape(kh.shape[:-2] + (-1, kh.shape[-2]))
+    return _merge_heads(np.matmul(gh, kh)), _merge_heads(np.matmul(gh.swapaxes(-1, -2), qh))
+
+
 def head_scores(q: Tensor, k: Tensor, n_heads: int, c: float = 1.0) -> Tensor:
     """Per-head c * Q_h K_h^T with head h the column block h of q and k,
     stacked as row blocks: (..., n_heads * Lq, Lk) for q (..., Lq, d),
     k (..., Lk, d). c multiplies the product, after the GEMM."""
-    if (not _same_batch(q.data, k.data) or q.data.shape[-1] != k.data.shape[-1]
-            or q.data.shape[-1] % n_heads):
-        raise ShapeError(f"head_scores: shapes {q.data.shape}, {k.data.shape}, {n_heads} heads")
-    qh, kh = _split_heads(q.data, n_heads), _split_heads(k.data, n_heads)
-    out_shape = q.data.shape[:-2] + (-1, k.data.shape[-2])
     c = float(c)
+    out, qh, kh = _scores(q.data, k.data, n_heads, c)
 
     def bwd(g):
-        gh = (g * c).reshape(kh.shape[:-2] + (-1, kh.shape[-2]))
-        return (_merge_heads(np.matmul(gh, kh)),
-                _merge_heads(np.matmul(gh.swapaxes(-1, -2), qh)))
+        return _scores_grads(g, qh, kh, c)
 
-    out = np.matmul(qh, kh.swapaxes(-1, -2)).reshape(out_shape) * c
     return _make(out, (q, k), bwd, "head_scores")
 
 
-def head_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Row block h of w (..., n_heads * Lq, Lk) times column block h of v
-    (..., Lk, d), the products placed side by side: (..., Lq, d)."""
-    if (not _same_batch(w.data, v.data) or w.data.shape[-1] != v.data.shape[-2]
-            or w.data.shape[-2] % n_heads or v.data.shape[-1] % n_heads):
-        raise ShapeError(f"head_mix: shapes {w.data.shape}, {v.data.shape}, {n_heads} heads")
-    wh = w.data.reshape(w.data.shape[:-2] + (n_heads, -1, w.data.shape[-1]))
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, c: float = 1.0,
+                   allowed: np.ndarray | None = None, k_sparse: int | None = None) -> Tensor:
+    """Attention of every head as one op. The scores head_scores(q, k,
+    n_heads, c), (..., n_heads * Lq, Lk), go through a softmax over each
+    row's entries that `allowed` keeps (a mask of the scores' last two axes,
+    shared by the batch; None keeps all) and, with k_sparse, only those >=
+    the k_sparse-th largest of them (ties kept). Row block h of the weights
+    then mixes column block h of v (..., Lk, d); the blocks side by side
+    give (..., Lq, d).
+
+    Bit for bit the chain head_scores -> kernels.topk_keep -> masked_softmax
+    -> head mix, in its output and every gradient. The scores are checked
+    for finite values as well as the output."""
+    c = float(c)
+    s, qh, kh = _scores(q.data, k.data, n_heads, c)
+    _check_finite(s, "attention scores")
+    rows, cols = s.shape[-2:]
+    if k_sparse is not None and k_sparse < 1:
+        raise ValueError(f"attention_core: k_sparse must be >= 1, got {k_sparse}")
+    if cols == 0:
+        raise ShapeError(f"attention_core: no keys, {k.data.shape}")
+    if allowed is None:
+        allowed = np.ones((rows, cols), dtype=bool)
+    elif allowed.shape != (rows, cols):
+        raise ShapeError(f"attention_core: mask {allowed.shape} for scores {s.shape}")
+    elif not allowed.any(axis=-1).all():
+        raise ValueError("attention_core: a row of the mask allows no entry")
+    if k_sparse is not None:
+        allowed = kernels.topk_keep(s, k_sparse, allowed)
+    if not _same_batch(s, v.data) or v.data.shape[-2] != cols or v.data.shape[-1] % n_heads:
+        raise ShapeError(f"attention_core: values {v.data.shape} for scores {s.shape}, "
+                         f"{n_heads} heads")
+    w = kernels.masked_softmax_forward(s, allowed)
+    wh = w.reshape(w.shape[:-2] + (n_heads, -1, cols))
     vh = _split_heads(v.data, n_heads)
 
     def bwd(g):
         gh = _split_heads(g, n_heads)
-        return (np.matmul(gh, vh.swapaxes(-1, -2)).reshape(w.data.shape),
-                _merge_heads(np.matmul(wh.swapaxes(-1, -2), gh)))
+        gw = np.matmul(gh, vh.swapaxes(-1, -2)).reshape(w.shape)
+        return ((_merge_heads(np.matmul(wh.swapaxes(-1, -2), gh)),)
+                + _scores_grads(kernels.masked_softmax_backward(w, gw), qh, kh, c))
 
-    return _make(_merge_heads(np.matmul(wh, vh)), (w, v), bwd, "head_mix")
+    # parents in the order the chain sent their gradients (v's first), so an
+    # input used twice sums them in the same order
+    return _make(_merge_heads(np.matmul(wh, vh)), (v, q, k), bwd, "attention_core")
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "tanh":
-        y = np.tanh(x.data)
-        dydx = 1.0 - y * y
-    elif kind == "relu":
-        y = np.maximum(x.data, 0.0)
-        dydx = (x.data > 0).astype(x.data.dtype)
-    elif kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-x.data))
-        dydx = y * (1.0 - y)
-    elif kind == "leaky_relu":
-        y = np.where(x.data > 0, x.data, _LEAKY_SLOPE * x.data)
-        dydx = np.where(x.data > 0, 1.0, _LEAKY_SLOPE)
-    elif kind == "elu":
-        y = np.where(x.data > 0, x.data, np.expm1(x.data))
-        dydx = np.where(x.data > 0, 1.0, np.exp(np.minimum(x.data, 0.0)))
-    elif kind == "softplus":
-        y = np.logaddexp(0.0, x.data)
-        dydx = 1.0 / (1.0 + np.exp(-x.data))
-    else:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+    act, slope = _activation_fns(kind)
+    y = act(x.data)
 
     def bwd(g):
-        return (g * dydx,)
+        return (g * slope(x.data, y),)
 
     return _make(y, (x,), bwd, f"activation[{kind}]")
 
@@ -367,8 +441,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None =
 
     def bwd(g):
         dxhat = g * gamma.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        # np.mean's sum and division, written out as in the forward
+        dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                    - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
         axes = tuple(range(g.ndim - 1))
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), dx
 

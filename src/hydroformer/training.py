@@ -130,13 +130,15 @@ def teacher_forced_input(window: np.ndarray, targets: np.ndarray,
 def tape_bytes_per_sample(config: ModelConfig) -> int:
     """Estimate of the bytes one training sample's graph keeps alive until
     backward: the inputs, every op output and the arrays backward closures
-    save (relu and tanh slopes, layer-norm x-hat and 1/std).
+    save (layer-norm x-hat and 1/std, the MLP's pre-activation).
 
-    The terms still count the outputs of the unfused ops: the GEMM before
-    its bias, the scores before their scale and the residual sum before its
-    layer norm, which linear, head_scores and layer_norm no longer store.
-    So the estimate is high. It is kept as it is on purpose: it sets the
-    sub-batch partition, and with it the order of the gradient sums."""
+    The terms also count arrays the fused ops do not store: the GEMM
+    before its bias (linear), the residual sum before its layer norm
+    (layer_norm), the scores before and after their scale (attention_core
+    keeps only the softmax weights) and the relu slope (mlp computes it in
+    backward). So the estimate is high. It is kept as it is on purpose: it
+    sets the sub-batch partition, and with it the order of the gradient sums
+    and the peak memory of training."""
     c = config
     L, H, d, f, nh = c.lookback, c.horizon, c.d_model, c.d_ffn, c.n_heads
 

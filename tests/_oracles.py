@@ -1,9 +1,11 @@
 """Independent straight-line numpy references used as test oracles.
 
 These deliberately avoid the package's tensor/attention code paths: plain
-numpy, no masking kernels, no autograd. The two exceptions are ref_rollout,
-the per-window rollout loop, which drives the model's own forward pieces,
-and ref_backward, a second sweep over the package's own tape. The Shapley
+numpy, no masking kernels, no autograd. The exceptions are ref_rollout, the
+per-window rollout loop, which drives the model's own forward pieces;
+ref_backward, a second sweep over the package's own tape; and the unfused
+chains that the fused tape ops must equal bit for bit (head_mix,
+ref_attention_core, ref_mlp, ref_layer_norm_backward). The Shapley
 references walk coalitions one at a time through a per-call dict cache.
 ref_adam_step updates parameters tensor by tensor, with per-name moments.
 """
@@ -12,10 +14,12 @@ import math
 
 import numpy as np
 
+from hydroformer.attention import topk_mask
 from hydroformer.data import TARGET_INDEX
 from hydroformer.errors import ConfigError, NumericError, ShapeError
 from hydroformer.explain import EXACT_CAP, Explanation
-from hydroformer.tensor import no_grad
+from hydroformer.tensor import (Tensor, _make, _merge_heads, _same_batch, _split_heads,
+                                activation, head_scores, linear, masked_softmax, no_grad)
 
 
 def ref_masked_softmax(scores, mask):
@@ -88,6 +92,50 @@ def ref_layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return gamma * (x - mu) / np.sqrt(var + eps) + beta
+
+
+def ref_layer_norm_backward(x, gamma, g, eps=1e-5):
+    """layer_norm's gradient for x given the output gradient g, with
+    np.mean as the row means."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(centred).mean(axis=-1, keepdims=True) + eps)
+    xhat = centred * inv
+    dxhat = g * gamma
+    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+
+def head_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Tape op: row block h of w (..., n_heads * Lq, Lk) times column block h
+    of v (..., Lk, d), the products placed side by side: (..., Lq, d)."""
+    if (not _same_batch(w.data, v.data) or w.data.shape[-1] != v.data.shape[-2]
+            or w.data.shape[-2] % n_heads or v.data.shape[-1] % n_heads):
+        raise ShapeError(f"head_mix: shapes {w.data.shape}, {v.data.shape}, {n_heads} heads")
+    wh = w.data.reshape(w.data.shape[:-2] + (n_heads, -1, w.data.shape[-1]))
+    vh = _split_heads(v.data, n_heads)
+
+    def bwd(g):
+        gh = _split_heads(g, n_heads)
+        return (np.matmul(gh, vh.swapaxes(-1, -2)).reshape(w.data.shape),
+                _merge_heads(np.matmul(wh.swapaxes(-1, -2), gh)))
+
+    return _make(_merge_heads(np.matmul(wh, vh)), (w, v), bwd, "head_mix")
+
+
+def ref_attention_core(q, k, v, n_heads, c=1.0, allowed=None, k_sparse=None):
+    """attention_core as the chain of tape ops it fuses: head_scores, the
+    top-k keep mask, masked_softmax and head_mix."""
+    p = head_scores(q, k, n_heads, c)
+    if allowed is None:
+        allowed = np.ones(p.data.shape[-2:], dtype=bool)
+    if k_sparse is not None:
+        allowed = topk_mask(p.data, k_sparse, allowed)
+    return head_mix(masked_softmax(p, allowed), v, n_heads)
+
+
+def ref_mlp(x, w1, b1, w2, b2, kind):
+    """mlp as the chain of tape ops it fuses: linear, activation, linear."""
+    return linear(activation(linear(x, w1, b1), kind), w2, b2)
 
 
 def ref_rollout(model, window, horizon):

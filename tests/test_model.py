@@ -306,12 +306,38 @@ class TestForward:
                 NumericError, match=r"^enc\.0\.ln2: layer_norm produced non-finite"):
             model.forward(rand_window(rng, cfg), rng.standard_normal((2, 1)))
 
+    def test_overflowing_attention_scores_name_their_layer(self):
+        cfg = tiny_config(attention_mode="sparse")
+        model = TransformerModel(cfg, seed=15)
+        # q and k stay finite; their products overflow
+        model.params["enc.0.attn.wq"].data[...] = 1e200
+        model.params["enc.0.attn.wk"].data[...] = 1e200
+        rng = np.random.default_rng(15)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^enc\.0\.attn: attention scores produced non-finite"):
+            model.predict(rand_window(rng, cfg), 1)
+
+    def test_overflowing_ffn_hidden_layer_names_its_layer(self):
+        cfg = tiny_config(n_decoder_layers=2)
+        model = TransformerModel(cfg, seed=16)
+        p = model.params
+        # the FFN's input is 1e10 in every entry, so every product with w1
+        # overflows
+        p["dec.1.ln2.gamma"].data[...] = 0.0
+        p["dec.1.ln2.beta"].data[...] = 1e10
+        p["dec.1.ffn.w1"].data[...] = 1e300
+        rng = np.random.default_rng(16)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^dec\.1\.ffn: mlp hidden layer produced non-finite"):
+            model.forward(rand_window(rng, cfg), rng.standard_normal((2, 1)))
+
     def test_tape_op_counts(self, monkeypatch):
         """Tape ops of the desk-scale sparse model with the tanh-sandwich
         head: a lead-1 predict (one Shapley value-function call), an H=7
         predict (k = ceil(t/4) changes at step 5) and one teacher-forced
         training graph of 8 samples. Splitting a fused op (linear, the
-        residual layer norm, scaled head scores) raises them."""
+        residual layer norm, scaled head scores, the attention core, the
+        MLP) raises them."""
         cfg = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
                                      lookback=30, horizon=7)
         model = TransformerModel(cfg, seed=14)
@@ -321,14 +347,14 @@ class TestForward:
         rng = np.random.default_rng(14)
         windows = rng.standard_normal((8, cfg.lookback, cfg.n_features))
         model.predict(windows[0], 1)
-        assert len(calls) == 57, calls
+        assert len(calls) == 39, calls
         calls.clear()
         model.predict(windows[0], 7)
-        assert len(calls) == 298, calls
+        assert len(calls) == 196, calls
         calls.clear()
         out = model.forward(windows, rng.standard_normal((8, cfg.horizon, 1)))
         mse(out, Tensor(rng.standard_normal((8, cfg.horizon, 1))))
-        assert len(calls) == 60, calls
+        assert len(calls) == 42, calls
 
 
 def _step(model, window, dec, target):

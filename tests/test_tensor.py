@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hydroformer.errors import NumericError, ShapeError
 from hydroformer.gradcheck import grad_check
 from hydroformer import tensor as T
-from hydroformer.tensor import (ACTIVATIONS, Tensor, activation, add, add_bias, backward,
-                                concat_cols, head_mix, head_scores, last_row, layer_norm,
-                                linear, masked_softmax, matmul, mse, mul, no_grad, scale,
-                                sub, swap_leading, tensor_sum, transpose)
+from hydroformer.tensor import (ACTIVATIONS, Tensor, activation, add, add_bias,
+                                attention_core, backward, concat_cols, head_scores, last_row,
+                                layer_norm, linear, masked_softmax, matmul, mlp, mse, mul,
+                                no_grad, scale, sub, swap_leading, tensor_sum, transpose)
 
-from _oracles import ref_backward, ref_layer_norm, ref_linear, ref_masked_softmax
+from _oracles import (head_mix, ref_attention_core, ref_backward, ref_layer_norm,
+                      ref_layer_norm_backward, ref_linear, ref_masked_softmax, ref_mlp)
 
 
 def t(data, grad=True):
@@ -366,9 +368,9 @@ class TestNoGrad:
     def _graph(self, rng):
         x = t(rng.uniform(-1, 1, (2, 4, 6)))
         w, g, b = t(rng.uniform(-1, 1, (6, 6))), t(np.ones(6)), t(np.zeros(6))
-        s = head_scores(matmul(x, w), x, 2)
-        mixed = head_mix(masked_softmax(s, np.ones(s.shape[-2:], bool)), x, 2)
-        return layer_norm(activation(mixed, "tanh"), g, b)
+        mixed = attention_core(matmul(x, w), x, x, 2, 0.5, None, 3)
+        hidden = mlp(mixed, w, b, w, b, "relu")
+        return layer_norm(activation(hidden, "tanh"), g, b)
 
     def test_outputs_equal_taped_bit_for_bit_and_carry_no_parents(self):
         taped = self._graph(np.random.default_rng(0))
@@ -518,8 +520,27 @@ def _fused_cases(rng, lead):
     w = rng.uniform(-1, 1, (6, 4))
     g, b = rng.uniform(0.5, 1.5, 6), rng.uniform(-1, 1, 6)
     r = rng.uniform(-2, 2, lead + (3, 6))
-    k = rng.uniform(-1, 1, lead + (5, 6))
-    return [
+    k, v = rng.uniform(-1, 1, lead + (5, 6)), rng.uniform(-1, 1, lead + (5, 6))
+    w1, b1 = rng.uniform(-1, 1, (6, 5)), rng.uniform(-1, 1, 5)
+    w2, b2 = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (3, 4))
+    attention = []
+    for n_heads in (1, 2):
+        causal = np.tile(np.tril(np.ones((3, 3), bool)), (n_heads, 1))
+        for k_sparse in (None, 2):
+            args = (n_heads, 0.37, None, k_sparse)
+            attention.append((f"attention_core_h{n_heads}_k{k_sparse}", [x, k, v],
+                              lambda a, args=args: attention_core(*a, *args),
+                              lambda a, args=args: ref_attention_core(*a, *args)))
+            # causal self-attention with q, k and v one leaf, which sums its
+            # three gradients
+            args = (n_heads, 0.37, causal, k_sparse)
+            attention.append((f"attention_core_causal_h{n_heads}_k{k_sparse}", [x],
+                              lambda a, args=args: attention_core(a[0], a[0], a[0], *args),
+                              lambda a, args=args: ref_attention_core(a[0], a[0], a[0],
+                                                                      *args)))
+    mlps = [(f"mlp_{kind}", [x, w1, b1, w2, b2], lambda a, kind=kind: mlp(*a, kind),
+             lambda a, kind=kind: ref_mlp(*a, kind)) for kind in ACTIVATIONS]
+    return attention + mlps + [
         ("linear_row", [x, w, row], lambda a: linear(*a),
          lambda a: add_bias(matmul(a[0], a[1]), a[2])),
         ("linear_table", [x, w, table], lambda a: linear(*a),
@@ -539,9 +560,11 @@ def _value_and_grads(op, arrays, coef):
 
 
 class TestFused:
-    """linear, layer_norm with a residual and head_scores with a scale c are
-    single ops for matmul -> add_bias, add -> layer_norm and head_scores ->
-    scale; each equals that composition bit for bit."""
+    """linear, layer_norm with a residual, head_scores with a scale c,
+    attention_core and mlp are single ops for matmul -> add_bias, add ->
+    layer_norm, head_scores -> scale, head_scores -> top-k -> masked_softmax
+    -> head_mix and linear -> activation -> linear; each equals that
+    composition bit for bit."""
 
     @settings(max_examples=30, deadline=None)
     @given(lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
@@ -595,6 +618,57 @@ class TestFused:
         expect = (x - mu) * (1.0 / np.sqrt(var + 1e-5))
         assert np.array_equal(layer_norm(t(x), t(np.ones(9)), t(np.zeros(9))).data, expect)
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 32])
+    def test_layer_norm_grad_equals_np_mean_formula_bit_for_bit(self, d):
+        rng = np.random.default_rng(46 + d)
+        x, coef = rng.uniform(-3, 3, (2, 4, d)), rng.uniform(-1, 1, (2, 4, d))
+        gamma = rng.uniform(0.5, 1.5, d)
+        leaf = t(x)
+        backward(tensor_sum(mul(layer_norm(leaf, t(gamma), t(np.zeros(d))), Tensor(coef))))
+        assert np.array_equal(leaf.grad, ref_layer_norm_backward(x, gamma, coef))
+
+    def test_attention_core_rejects_what_the_chain_rejects(self):
+        z = np.zeros
+        causal = np.tril(np.ones((3, 3), bool))
+        empty_row = np.ones((3, 5), bool)
+        empty_row[1] = False
+        cases = [  # q, k, v, n_heads, allowed, k_sparse
+            (z((3, 4)), z((5, 6)), z((5, 4)), 1, None, None),          # widths
+            (z((3, 6)), z((5, 6)), z((5, 6)), 4, None, None),          # heads
+            (z((2, 3, 4)), z((3, 5, 4)), z((3, 5, 4)), 2, None, None),  # batches
+            (z((3, 4)), z((5, 4)), z((4, 4)), 2, None, None),          # value rows
+            (z((3, 4)), z((5, 4)), z((5, 3)), 2, None, None),          # value heads
+            (z((3, 4)), z((5, 4)), z((5, 4)), 1, causal, None),        # mask shape
+            (z((3, 4)), z((5, 4)), z((5, 4)), 1, causal, 2),
+            (z((3, 4)), z((5, 4)), z((5, 4)), 1, empty_row, None),     # masked row
+            (z((3, 4)), z((5, 4)), z((5, 4)), 1, None, 0),             # k < 1
+            (z((3, 4)), z((0, 4)), z((0, 4)), 1, None, None),          # no keys
+            (z((3, 4)), z((0, 4)), z((0, 4)), 1, None, 2),
+        ]
+        for q, k, v, n_heads, allowed, k_sparse in cases:
+            args = (t(q), t(k), t(v), n_heads, 1.0, allowed, k_sparse)
+            with pytest.raises(ValueError) as chain:
+                ref_attention_core(*args)
+            with pytest.raises(type(chain.value)):
+                attention_core(*args)
+
+    def test_mlp_rejects_what_the_chain_rejects(self):
+        z = np.zeros
+        cases = [  # x, w1, b1, w2, b2, kind
+            (z((3, 6)), z((5, 4)), z(4), z((4, 2)), z(2), "relu"),
+            (z((3, 6)), z((6, 4)), z(5), z((4, 2)), z(2), "relu"),
+            (z((3, 6)), z((6, 4)), z(4), z((5, 2)), z(2), "relu"),
+            (z((3, 6)), z((6, 4)), z(4), z((4, 2)), z((2, 2)), "relu"),
+            (z((3, 6)), z((6, 4)), z(4), z((4, 2)), z(2), "swish"),
+        ]
+        for case in cases:
+            args = [t(a) for a in case[:5]] + [case[5]]
+            with pytest.raises(ValueError) as chain:
+                ref_mlp(*args)
+            with pytest.raises(type(chain.value)) as fused:
+                mlp(*args)
+            assert str(fused.value) == str(chain.value)
+
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     def test_scaled_head_scores_grad(self, n_heads):
         rng = np.random.default_rng(45 + n_heads)
@@ -606,13 +680,31 @@ class TestFused:
 
 
 class TestFiniteGuard:
+    @settings(max_examples=200, deadline=None)
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                       max_side=4)))
+    @example(arr=np.array([1e308, 1e308]))
+    @example(arr=np.array([np.inf, -np.inf]))
+    @example(arr=np.array(np.nan))
+    @example(arr=np.array(-np.inf))
+    @example(arr=np.array(1e308))
+    def test_raises_iff_an_element_is_nan_or_inf(self, arr):
+        bad = any(math.isnan(x) or math.isinf(x) for x in arr.flat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if bad:
+                with pytest.raises(NumericError, match="^op produced non-finite"):
+                    T._check_finite(arr, "op")
+            else:
+                T._check_finite(arr, "op")
+
     def test_overflow_raises(self):
         big = t([[1e308]])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             mul(big, big)
 
     def test_finite_values_with_overflowing_sum_pass(self):
-        assert np.array_equal(scale(t([1e308, 1e308]), 1.0).data, [1e308, 1e308])
+        with np.errstate(over="ignore"):     # the guard's sum overflows
+            assert np.array_equal(scale(t([1e308, 1e308]), 1.0).data, [1e308, 1e308])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             scale(t([1e308]), 10.0)
 
