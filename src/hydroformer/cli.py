@@ -111,10 +111,9 @@ def resolved_config_text(cfg: RunConfig) -> str:
     return "".join(f"{key} = {values[key]}\n" for key in sorted(_KEY_PARSERS))
 
 
-def _load_dataset(cfg: RunConfig):
-    series = data_mod.load_table(cfg.data_path)
-    series, _ = data_mod.fill_missing(series)
-    return data_mod.make_windows(series, cfg.model.lookback, cfg.model.horizon)
+def _read_series(path):
+    """The data file at path, gaps filled."""
+    return data_mod.fill_missing(data_mod.load_table(path))[0]
 
 
 def _outdir(path) -> Path:
@@ -146,7 +145,8 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config, seed_override=args.seed)
     out = _outdir(args.out)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
-    dataset = _load_dataset(cfg)
+    dataset = data_mod.make_windows(_read_series(cfg.data_path), cfg.model.lookback,
+                                    cfg.model.horizon)
     model = TransformerModel(cfg.model, seed=cfg.train.seed)
     curve = fit(model, dataset, cfg.train)
     (out / "loss_curve.csv").write_text(curve.to_text(), encoding="utf-8")
@@ -171,9 +171,8 @@ def _load_for_data(path, action):
 
 def cmd_evaluate(args) -> int:
     model, normalizer = _load_for_data(args.checkpoint, "evaluate")
-    series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
-    dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
-    dataset.normalizer = normalizer
+    dataset = data_mod.make_windows(_read_series(args.data), model.config.lookback,
+                                    model.config.horizon, normalizer=normalizer)
     check_leads(args.leads, model.config.horizon)
     out = _outdir(args.out)
     report, series_by_lead = evaluate_split(model, dataset, args.split, args.leads,
@@ -190,7 +189,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model, normalizer = _load_for_data(args.checkpoint, "predict")
-    series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
+    series = _read_series(args.data)
     lookback = model.config.lookback
     if series.values.shape[0] < lookback:
         raise DataError(f"need at least {lookback} rows, got {series.values.shape[0]}")
@@ -201,7 +200,7 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _explain_instances(args, model, dataset):
+def _explain_instances(args, dataset):
     test = dataset.split("test")
     if args.instance is not None:
         matches = [i for i, d in enumerate(test.anchors) if d == args.instance]
@@ -218,11 +217,10 @@ def _explain_instances(args, model, dataset):
 
 def cmd_explain(args) -> int:
     model, normalizer = _load_for_data(args.checkpoint, "explain")
-    series, _ = data_mod.fill_missing(data_mod.load_table(args.data))
-    dataset = data_mod.make_windows(series, model.config.lookback, model.config.horizon)
-    dataset.normalizer = normalizer
+    dataset = data_mod.make_windows(_read_series(args.data), model.config.lookback,
+                                    model.config.horizon, normalizer=normalizer)
     test = dataset.split("test")
-    indices = _explain_instances(args, model, dataset)
+    indices = _explain_instances(args, dataset)
 
     vfs = [explain_mod.model_value_function(model, normalizer, test.windows[i], lead=args.lead)
            for i in indices]

@@ -18,12 +18,6 @@ TARGET_COLUMN = "ch_wl"
 TARGET_INDEX = FEATURE_COLUMNS.index(TARGET_COLUMN)
 GATE_RAIN_COLUMNS = tuple(c for c in HYDRO_COLUMNS if c.endswith("_pre"))
 
-COLUMN_UNITS = {
-    "tm": "degC", "pre": "mm/d", "tmax": "degC", "tmin": "degC", "ssd": "h/d",
-    "win": "m/s", "rhu": "%", "ch_wl": "m",
-    **{c: "mm" for c in GATE_RAIN_COLUMNS},
-}
-
 SYNTH_MIN_LENGTH = 400
 SYNTH_START_DATE = datetime.date(2000, 1, 1)
 
@@ -188,10 +182,12 @@ class WindowedDataset:
 
 
 def make_windows(series: RawSeries, lookback: int, horizon: int,
-                 fractions=(0.70, 0.10, 0.20)) -> WindowedDataset:
+                 fractions=(0.70, 0.10, 0.20), normalizer=None) -> WindowedDataset:
     """Windowed supervised samples with a leakage guard: a sample belongs to
     a split only if every row it touches (window and future targets) lies
-    inside that split's row range."""
+    inside that split's row range. Rows are normalized by `normalizer`, such
+    as a checkpoint's, applied as it is; when it is None, one is fitted on the
+    train split, which then must not hold a constant column."""
     if lookback < 1 or horizon < 1:
         raise ConfigError("lookback and horizon must be >= 1")
     if np.isnan(series.values).any():
@@ -199,22 +195,20 @@ def make_windows(series: RawSeries, lookback: int, horizon: int,
     n_rows = series.values.shape[0]
     train_end, val_end = chronological_split(n_rows, fractions,
                                              min_segment=lookback + horizon)
-    normalizer = Normalizer.fit(series.values[:train_end])
+    if normalizer is None:
+        normalizer = Normalizer.fit(series.values[:train_end])
     normed = normalizer.apply(series.values)
     ranges = {"train": (0, train_end), "val": (train_end, val_end),
               "test": (val_end, n_rows)}
+    window_offsets = np.arange(1 - lookback, 1)
+    target_offsets = np.arange(1, horizon + 1)
     splits = {}
     for name, (lo, hi) in ranges.items():
-        windows, targets, anchors = [], [], []
         # anchor t: window rows [t-lookback+1 .. t], targets rows [t+1 .. t+horizon]
-        for t in range(lo + lookback - 1, hi - horizon):
-            windows.append(normed[t - lookback + 1: t + 1])
-            targets.append(normed[t + 1: t + horizon + 1, TARGET_INDEX])
-            anchors.append(series.dates[t])
-        splits[name] = SplitSamples(
-            windows=np.array(windows) if windows else np.empty((0, lookback, len(FEATURE_COLUMNS))),
-            targets=np.array(targets) if targets else np.empty((0, horizon)),
-            anchors=anchors)
+        t = np.arange(lo + lookback - 1, hi - horizon)[:, None]
+        splits[name] = SplitSamples(windows=normed[t + window_offsets],
+                                    targets=normed[t + target_offsets, TARGET_INDEX],
+                                    anchors=[series.dates[i] for i in t.ravel().tolist()])
     return WindowedDataset(lookback=lookback, horizon=horizon,
                            normalizer=normalizer, splits=splits)
 

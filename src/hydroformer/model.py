@@ -420,6 +420,10 @@ def _normalizer_from_header(entry, n_features: int) -> Normalizer:
     if norm.mean.shape != (n_features,) or norm.std.shape != (n_features,):
         raise DataError(f"checkpoint normalizer: mean/std shapes {norm.mean.shape}, "
                         f"{norm.std.shape} do not match n_features {n_features}")
+    bad = np.flatnonzero(~(np.isfinite(norm.mean) & np.isfinite(norm.std) & (norm.std > 0)))
+    if bad.size:
+        raise DataError(f"checkpoint normalizer: feature(s) {bad.tolist()} need a finite "
+                        f"mean and a finite std > 0")
     return norm
 
 

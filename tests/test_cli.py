@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import json
 import math
@@ -188,10 +189,15 @@ _NEG_INF = np.float64(-np.inf).tobytes()
     (lambda h: h.update(format_version=1), bytes),
     (lambda h: None, lambda b: _NAN + b[8:]),
     (lambda h: None, lambda b: b[:-8] + _NEG_INF),
+    (lambda h: h["normalizer"]["std"].__setitem__(D.TARGET_INDEX, math.inf), bytes),
+    (lambda h: h["normalizer"]["mean"].__setitem__(0, math.nan), bytes),
+    (lambda h: h["normalizer"]["std"].__setitem__(0, -1.0), bytes),
+    (lambda h: h["normalizer"]["std"].__setitem__(0, 0.0), bytes),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "missing_config", "missing_params", "missing_normalizer",
         "trailing_bytes", "normalizer_length", "v1_header", "nan_first_param",
-        "inf_last_param"])
+        "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
+        "negative_normalizer_std", "zero_normalizer_std"])
 def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, edit_body):
     header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
     header = json.loads(header_line)
@@ -245,6 +251,41 @@ def test_train_replays_its_resolved_config(trained_run, tmp_path, capsys):
     digests = [hashlib.sha256((d / "checkpoint.bin").read_bytes()).hexdigest()
                for d in (out, replay)]
     assert digests[0] == digests[1]
+
+
+def test_other_data_file_is_normalized_by_the_checkpoint(trained_run, tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    assert cli.main(["datagen", "--seed", "5", "--length", "450", "--out", str(other)]) == 0
+    series = D.load_table(other)
+    ckpt = str(trained_run["checkpoint"])
+
+    assert cli.main(["evaluate", "--checkpoint", ckpt, "--data", str(other),
+                     "--leads", "1,2", "--out", str(tmp_path / "e")]) == 0
+    for lead in (1, 2):
+        rows = (tmp_path / "e" / f"predictions_lead{lead}.csv").read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            date, actual, _ = row.split(",")
+            idx = series.dates.index(datetime.date.fromisoformat(date)) + lead
+            assert abs(float(actual) - series.values[idx, D.TARGET_INDEX]) <= 1e-9
+
+    assert cli.main(["explain", "--checkpoint", ckpt, "--data", str(other), "--global",
+                     "--sample", "3", "--permutations", "2",
+                     "--out", str(tmp_path / "x")]) == 0
+    bees = (tmp_path / "x" / "beeswarm.txt").read_text().splitlines()[1:]
+    raw = np.full((3, len(D.FEATURE_COLUMNS)), np.nan)
+    for line in bees:
+        feature, instance, value, _ = line.split("\t")
+        raw[int(instance), D.FEATURE_COLUMNS.index(feature)] = float(value)
+    for row in raw:  # each instance's anchor row is a row of the file
+        assert (np.abs(series.values - row) <= 1e-9).all(axis=1).any()
+
+    # Normalizer.fit refuses a constant column; the checkpoint's does not
+    series.values[:, D.FEATURE_COLUMNS.index("win")] = 2.5
+    flat = tmp_path / "flat_win.csv"
+    D.write_table(series, flat)
+    assert cli.main(["evaluate", "--checkpoint", ckpt, "--data", str(flat),
+                     "--leads", "1", "--out", str(tmp_path / "f")]) == 0
 
 
 def _desk_csv_lines(trained_run):

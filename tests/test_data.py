@@ -172,15 +172,33 @@ class TestMakeWindows:
             idx = series.dates.index(anchor)
             assert idx - lookback + 1 >= val_end
 
+    @staticmethod
+    def _assert_windows_match_source_rows(series, ds, lookback, horizon):
+        for name in ("train", "val", "test"):
+            s = ds.split(name)
+            assert len(s.windows) == len(s.targets) == len(s.anchors) > 0
+            for window, target, anchor in zip(s.windows, s.targets, s.anchors):
+                idx = series.dates.index(anchor)
+                rows = ds.normalizer.apply(series.values[idx - lookback + 1: idx + horizon + 1])
+                assert np.array_equal(window, rows[:lookback])
+                assert np.array_equal(target, rows[lookback:, D.TARGET_INDEX])
+
     def test_windows_match_source_rows(self):
         series = D.synth_generate(seed=9, length=450)
         ds = D.make_windows(series, lookback=4, horizon=2)
-        s = ds.split("train")
-        idx = series.dates.index(s.anchors[0])
-        expect = ds.normalizer.apply(series.values[idx - 3: idx + 1])
-        assert np.allclose(s.windows[0], expect, atol=1e-12)
-        expect_t = ds.normalizer.apply(series.values[idx + 1: idx + 3])[:, D.TARGET_INDEX]
-        assert np.allclose(s.targets[0], expect_t, atol=1e-12)
+        self._assert_windows_match_source_rows(series, ds, 4, 2)
+
+        # a given normalizer is applied as it is, even where Normalizer.fit
+        # refuses the series: win is constant over the train segment
+        win = D.FEATURE_COLUMNS.index("win")
+        train_end, _ = D.chronological_split(450)
+        series.values[:train_end, win] = 2.5
+        with pytest.raises(DataError, match="constant"):
+            D.make_windows(series, lookback=4, horizon=2)
+        given = D.Normalizer(mean=ds.normalizer.mean + 0.5, std=ds.normalizer.std * 3.0)
+        ds = D.make_windows(series, lookback=4, horizon=2, normalizer=given)
+        assert ds.normalizer is given
+        self._assert_windows_match_source_rows(series, ds, 4, 2)
 
     def test_nan_rejected(self):
         series = D.synth_generate(seed=10, length=400)
