@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, NumericError
 from .metrics import DegenerateDenominatorError
 from .model import (ModelConfig, TransformerModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
-from .training import TrainConfig, check_leads, evaluate_split, fit
+from .training import TrainConfig, check_leads, check_split, evaluate_split, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,10 +143,12 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, seed_override=args.seed)
-    out = _outdir(args.out)
-    (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
+    if not cfg.data_path:
+        raise ConfigError("data.path is not set")
     dataset = data_mod.make_windows(_read_series(cfg.data_path), cfg.model.lookback,
                                     cfg.model.horizon)
+    out = _outdir(args.out)
+    (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
     model = TransformerModel(cfg.model, seed=cfg.train.seed)
     curve = fit(model, dataset, cfg.train)
     (out / "loss_curve.csv").write_text(curve.to_text(), encoding="utf-8")
@@ -174,6 +176,7 @@ def cmd_evaluate(args) -> int:
     dataset = data_mod.make_windows(_read_series(args.data), model.config.lookback,
                                     model.config.horizon, normalizer=normalizer)
     check_leads(args.leads, model.config.horizon)
+    check_split(dataset, args.split)
     out = _outdir(args.out)
     report, series_by_lead = evaluate_split(model, dataset, args.split, args.leads,
                                             r2_mode=args.r2_mode)
@@ -248,9 +251,10 @@ def cmd_explain(args) -> int:
         (out / "beeswarm.txt").write_text(explain_mod.beeswarm_to_text(rows),
                                           encoding="utf-8")
         print(gi.to_text(), end="")
+    permutations = f"permutations = {args.permutations}\n" if args.estimator == "sampled" else ""
     (out / "estimator.txt").write_text(
-        f"estimator = {args.estimator}\npermutations = {args.permutations}\n"
-        f"lead = {args.lead}\nseed = {args.seed}\n", encoding="utf-8")
+        f"estimator = {args.estimator}\n{permutations}lead = {args.lead}\nseed = {args.seed}\n",
+        encoding="utf-8")
     return EXIT_OK
 
 

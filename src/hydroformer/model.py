@@ -1,6 +1,7 @@
 """Encoder-decoder forecasting model: sparse or dense multi-head attention,
 sinusoidal positional encoding, and a linear or tanh-sandwich output head."""
 
+import functools
 import hashlib
 import json
 import math
@@ -11,8 +12,8 @@ import numpy as np
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, grad_enabled, last_row, layer_norm, linear,
-                     matmul, mlp, no_grad, swap_leading)
+from .tensor import (ACTIVATIONS, Tensor, grad_enabled, layer_norm, linear, matmul, mlp,
+                     no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -130,6 +131,21 @@ def _layout(c: ModelConfig):
     return shapes, draws
 
 
+def _named(method):
+    """Wraps a forward piece whose first argument is its layer prefix: a
+    NumericError from it is raised again with the prefix in front, e.g.
+    "dec.1.cross_attn: matmul produced non-finite values". It adds one call
+    frame per piece; the try block costs nothing while no exception is
+    raised."""
+    @functools.wraps(method)
+    def piece(self, prefix, *args):
+        try:
+            return method(self, prefix, *args)
+        except NumericError as e:
+            raise NumericError(f"{prefix}: {e}") from e
+    return piece
+
+
 class TransformerModel:
     """Parameter container plus the forward / autoregressive-predict paths.
 
@@ -172,27 +188,29 @@ class TransformerModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    # Each piece re-raises a NumericError with its layer name in front, e.g.
-    # "dec.1.cross_attn: matmul produced non-finite values"; a try block
-    # costs nothing while no exception is raised.
+    @_named
+    def _linear(self, prefix, x, bias):
+        return linear(x, self.params[f"{prefix}.w"], bias)
 
+    @_named
+    def _mlp(self, prefix, x, activation):
+        p = self.params
+        return mlp(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"],
+                   p[f"{prefix}.b2"], activation)
+
+    @_named
     def _ln(self, prefix, x, residual=None):
         """Layer norm of x + residual; an overflowing residual sum is named
         after this layer norm."""
-        try:
-            return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"],
-                              residual)
-        except NumericError as e:
-            raise NumericError(f"{prefix}: {e}") from e
+        return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"],
+                          residual)
 
-    def _ffn(self, prefix, x):
-        p = self.params
-        try:
-            return mlp(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"], p[f"{prefix}.w2"],
-                       p[f"{prefix}.b2"], "relu")
-        except NumericError as e:
-            raise NumericError(f"{prefix}: {e}") from e
+    @_named
+    def _kv(self, prefix, x):
+        """x projected to this attention layer's K and V."""
+        return matmul(x, self.params[f"{prefix}.wk"]), matmul(x, self.params[f"{prefix}.wv"])
 
+    @_named
     def _mha(self, prefix, q_in, kv, causal=False):
         """kv is the Tensor that self-attention projects to K and V, passed
         as the same Tensor as q_in, or a (K, V) pair already projected: the
@@ -207,25 +225,17 @@ class TransformerModel:
         else:
             (k_in, v_in), wk, wv = kv, None, None
         weights = (p[f"{prefix}.wq"], wk, wv, p[f"{prefix}.wo"])
-        try:
-            return multi_head(q_in, k_in, v_in, weights, self.config.n_heads,
-                              self.config.effective_k(k_in.data.shape[-2]), causal)
-        except NumericError as e:
-            raise NumericError(f"{prefix}: {e}") from e
-
-    def _embed(self, x: Tensor, prefix: str) -> Tensor:
-        """x @ W plus the positional table, which broadcasts over a batch."""
-        try:
-            return linear(x, self.params[f"{prefix}.w"], Tensor(self.pe.slice(x.data.shape[-2])))
-        except NumericError as e:
-            raise NumericError(f"{prefix}: {e}") from e
+        return multi_head(q_in, k_in, v_in, weights, self.config.n_heads,
+                          self.config.effective_k(k_in.data.shape[-2]), causal)
 
     def embed_encoder(self, window) -> Tensor:
+        """Window rows @ W plus the positional table, which broadcasts over
+        a batch."""
         x = window if isinstance(window, Tensor) else Tensor(window)
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_features:
             raise ShapeError(f"window shape {x.data.shape}: need L x n_features "
                              f"(n_features {self.config.n_features}), optionally batched")
-        return self._embed(x, "enc_embed")
+        return self._linear("enc_embed", x, Tensor(self.pe.slice(x.data.shape[-2])))
 
     def embed_decoder(self, decoder_in) -> Tensor:
         """H x 1 or B x H x 1 target values to embedded rows, handed to
@@ -235,42 +245,22 @@ class TransformerModel:
         y = decoder_in if isinstance(decoder_in, Tensor) else Tensor(decoder_in)
         if y.data.ndim not in (2, 3) or y.data.shape[-1] != 1:
             raise ShapeError(f"decoder input must be Hx1 or BxHx1, got {y.data.shape}")
-        emb = self._embed(y, "dec_embed")
+        emb = self._linear("dec_embed", y, Tensor(self.pe.slice(y.data.shape[-2])))
         return swap_leading(emb) if emb.data.ndim == 3 else emb
 
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
         x = x_emb
         for i in range(self.config.n_encoder_layers):
             h = self._ln(f"enc.{i}.ln1", x, self._mha(f"enc.{i}.attn", x, x))
-            x = self._ln(f"enc.{i}.ln2", h, self._ffn(f"enc.{i}.ffn", h))
+            x = self._ln(f"enc.{i}.ln2", h, self._mlp(f"enc.{i}.ffn", h, "relu"))
         return x
 
     def cross_kv(self, memory: Tensor) -> list:
         """The encoder memory projected to cross-attention K and V, one
         (K, V) pair per decoder layer, for decoder_forward. A rollout makes
         them once and every step reuses them."""
-        p, pairs = self.params, []
-        for i in range(self.config.n_decoder_layers):
-            prefix = f"dec.{i}.cross_attn"
-            try:
-                pairs.append((matmul(memory, p[f"{prefix}.wk"]),
-                              matmul(memory, p[f"{prefix}.wv"])))
-            except NumericError as e:
-                raise NumericError(f"{prefix}: {e}") from e
-        return pairs
-
-    def _cached_kv(self, prefix, y, entry):
-        """Layer entry (K, V) of a rollout cache, or None, with y's rows
-        projected and appended; returns the new entry. Plain arrays, as the
-        rows are joined off the tape."""
-        p = self.params
-        try:
-            kv = (matmul(y, p[f"{prefix}.wk"]).data, matmul(y, p[f"{prefix}.wv"]).data)
-        except NumericError as e:
-            raise NumericError(f"{prefix}: {e}") from e
-        if entry is None:
-            return kv
-        return tuple(np.concatenate(pair, axis=-2) for pair in zip(entry, kv))
+        return [self._kv(f"dec.{i}.cross_attn", memory)
+                for i in range(self.config.n_decoder_layers)]
 
     def decoder_forward(self, y_emb: Tensor, memory_kv, cache=None) -> Tensor:
         """y_emb time-major as embed_decoder returns it, memory_kv as
@@ -298,26 +288,23 @@ class TransformerModel:
         for i in range(n):
             prefix, kv = f"dec.{i}.self_attn", y
             if cache is not None:
-                cache[i] = self._cached_kv(prefix, y, cache[i])
-                kv = tuple(Tensor(a) for a in cache[i])
+                kv = self._kv(prefix, y)
+                if cache[i] is not None:
+                    kv = tuple(Tensor(np.concatenate((a, t.data), axis=-2))
+                               for a, t in zip(cache[i], kv))
+                cache[i] = tuple(t.data for t in kv)
                 if i == n - 1 and y.data.shape[-2] > 1:
-                    y = last_row(y)
-            # one query row attends every key: its row of the causal mask
-            attn = self._mha(prefix, y, kv, causal=y.data.shape[-2] > 1)
-            y = self._ln(f"dec.{i}.ln1", y, attn)
+                    y = Tensor(y.data[..., -1:, :])                 # the newest row
+            causal = y.data.shape[-2] > 1   # one query row attends every key
+            y = self._ln(f"dec.{i}.ln1", y, self._mha(prefix, y, kv, causal))
             y = self._ln(f"dec.{i}.ln2", y, self._mha(f"dec.{i}.cross_attn", y, memory_kv[i]))
-            y = self._ln(f"dec.{i}.ln3", y, self._ffn(f"dec.{i}.ffn", y))
+            y = self._ln(f"dec.{i}.ln3", y, self._mlp(f"dec.{i}.ffn", y, "relu"))
         return y
 
     def output_head(self, d: Tensor) -> Tensor:
-        p = self.params
-        try:
-            if self.config.output_head == "linear":
-                return linear(d, p["head.w"], p["head.b"])
-            return mlp(d, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"],
-                       self.config.head_activation)
-        except NumericError as e:
-            raise NumericError(f"head: {e}") from e
+        if self.config.output_head == "linear":
+            return self._linear("head", d, self.params["head.b"])
+        return self._mlp("head", d, self.config.head_activation)
 
     def forward(self, window, decoder_in) -> Tensor:
         """Teacher-forced forward: window is lookback x n_features, decoder_in

@@ -215,20 +215,6 @@ def swap_leading(a: Tensor) -> Tensor:
     return _make(a.data.swapaxes(0, 1), (a,), bwd, "swap_leading")
 
 
-def last_row(a: Tensor) -> Tensor:
-    """The last row of every matrix of a, keeping the row axis: (..., 1, n),
-    as a view. Backward places the gradient in that row, zeros elsewhere."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"last_row: need at least 2 axes, got {a.data.shape}")
-
-    def bwd(g):
-        out = np.zeros_like(a.data)
-        out[..., -1:, :] = g
-        return (out,)
-
-    return _make(a.data[..., -1:, :], (a,), bwd, "last_row")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")

@@ -3,7 +3,10 @@ validation loss, and per-epoch loss-curve logging.
 
 Samples go through the model as stacked sub-batches (B x L x F windows), one
 graph each; a mini-batch's gradients accumulate across its sub-batches. The
-sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES. Passes that
+sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES, with at least
+one sample per graph. The budget does not bound a paper-scale step: one
+sample's tape is about 4.4 MB, so it runs alone, and the step's peak of about
+91 MiB is set by the parameter gradients (model.flat is 90.2 MiB). Passes that
 record no tape (the validation loss, evaluation rollouts) run in chunks of
 forward_batch_size windows, sized from FORWARD_BUDGET_BYTES."""
 
@@ -259,6 +262,16 @@ def check_leads(leads, horizon: int) -> list:
     return leads
 
 
+def check_split(dataset: WindowedDataset, split: str):
+    """The split's samples; DataError if it has fewer than the 2 windows
+    metrics need."""
+    samples = dataset.split(split)
+    if len(samples.windows) < 2:
+        raise DataError(f"{split} split has {len(samples.windows)} window(s); "
+                        f"metrics need at least 2")
+    return samples
+
+
 def evaluate_split(model, dataset: WindowedDataset, split: str, leads,
                    r2_mode: str = "paper"):
     """Autoregressive evaluation at each requested lead time on denormalized
@@ -268,10 +281,8 @@ def evaluate_split(model, dataset: WindowedDataset, split: str, leads,
     (anchor_date, actual, predicted) rows. A split of fewer than 2 windows
     raises DataError."""
     leads = check_leads(leads, model.config.horizon)
-    samples = dataset.split(split)
+    samples = check_split(dataset, split)
     n = len(samples.windows)
-    if n < 2:
-        raise DataError(f"{split} split has {n} window(s); metrics need at least 2")
     norm = dataset.normalizer
     preds = np.concatenate([model.predict(samples.windows[idx], max(leads))[..., 0]
                             for idx in _sub_batches(np.arange(n),

@@ -350,7 +350,8 @@ class TestExplainCommand:
         assert "group:meteorological" in gi
         bees = (out / "beeswarm.txt").read_text().splitlines()
         assert len(bees) == 1 + 2 * 19
-        assert "estimator = sampled" in (out / "estimator.txt").read_text()
+        assert (out / "estimator.txt").read_text() == \
+            "estimator = sampled\npermutations = 3\nlead = 1\nseed = 0\n"
 
     def test_instance_force_report(self, trained_run, tmp_path, capsys):
         series = D.load_table(trained_run["data"])
@@ -365,6 +366,20 @@ class TestExplainCommand:
         text = (out / "force_report.txt").read_text()
         assert text.startswith("base_value\t")
         assert len(text.splitlines()) == 4 + 19
+
+    def test_exact_estimator_file_lists_no_permutations(self, trained_run, tmp_path, capsys,
+                                                         monkeypatch):
+        def exact_stub(vf, allow_large=False):
+            assert allow_large
+            return cli.explain_mod.sampled_shapley(vf, m=2)
+
+        monkeypatch.setattr(cli.explain_mod, "exact_shapley", exact_stub)
+        out = tmp_path / "exact"
+        rc = cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                       "--data", str(trained_run["data"]), "--global", "--sample", "1",
+                       "--estimator", "exact", "--allow-large-exact", "--out", str(out)])
+        assert rc == 0
+        assert (out / "estimator.txt").read_text() == "estimator = exact\nlead = 1\nseed = 0\n"
 
     def test_exact_cap_option_removed(self, trained_run, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -488,6 +503,26 @@ def test_evaluate_split_of_one_window_is_data_error(trained_run, tmp_path, capsy
                    "--out", str(tmp_path / "e")])
     assert rc == cli.EXIT_DATA
     assert "val split has 1 window" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_train_without_data_path_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CONFIG.replace("data.path = data.csv\n", ""), encoding="utf-8")
+    rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    _assert_one_line_error(capsys, "config error: data.path is not set")
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_on_unreadable_data_makes_no_run_directory(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CONFIG.replace("data.csv", str(missing)), encoding="utf-8")
+    rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_DATA
+    _assert_one_line_error(capsys, "data error: cannot open", str(missing))
+    assert not (tmp_path / "run").exists()
 
 
 def _assert_one_line_error(capsys, *parts):

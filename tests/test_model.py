@@ -116,7 +116,7 @@ class TestEncoder:
         weights = tuple(p[f"enc.0.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
         attn = multi_head(x_emb, x_emb, x_emb, weights, 1)
         h = layer_norm(add(x_emb, attn), p["enc.0.ln1.gamma"], p["enc.0.ln1.beta"])
-        ffn = model._ffn("enc.0.ffn", h)
+        ffn = model._mlp("enc.0.ffn", h, "relu")
         expect = layer_norm(add(h, ffn), p["enc.0.ln2.gamma"], p["enc.0.ln2.beta"])
         assert np.max(np.abs(out.data - expect.data)) <= 1e-12
 
@@ -151,7 +151,7 @@ class TestDecoder:
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
     def test_matches_hand_assembled_layers(self, mode, batch):
         """Teacher-forced decoder_forward equals its layers assembled by hand
-        from multi_head (memory projected inside it), layer_norm and _ffn."""
+        from multi_head (memory projected inside it), layer_norm and _mlp."""
         cfg = tiny_config(horizon=5, n_heads=2, attention_mode=mode)
         model = TransformerModel(cfg, seed=23)
         rng = np.random.default_rng(23)
@@ -174,7 +174,7 @@ class TestDecoder:
             cross = multi_head(y, memory, memory, block("cross_attn"), 2,
                                cfg.effective_k(cfg.lookback))
             y = ln("ln2", add(y, cross))
-            y = ln("ln3", add(y, model._ffn(f"dec.{i}.ffn", y)))
+            y = ln("ln3", add(y, model._mlp(f"dec.{i}.ffn", y, "relu")))
         assert np.max(np.abs(out.data - y.data)) <= 1e-12
 
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -331,6 +331,36 @@ class TestForward:
                 NumericError, match=r"^dec\.1\.ffn: mlp hidden layer produced non-finite"):
             model.forward(rand_window(rng, cfg), rng.standard_normal((2, 1)))
 
+    @pytest.mark.parametrize("param,call,message", [
+        ("enc_embed.w", "forward", "enc_embed: linear"),
+        ("dec_embed.w", "forward", "dec_embed: linear"),
+        ("enc.0.attn.wq", "forward", "enc.0.attn: matmul"),
+        ("enc.0.ffn.w1", "forward", "enc.0.ffn: mlp hidden layer"),
+        # wk is read only where cross_kv projects the memory
+        ("dec.0.cross_attn.wk", "forward", "dec.0.cross_attn: matmul"),
+        ("dec.1.ln3.gamma", "forward", "dec.1.ln3: layer_norm"),
+        ("head.w", "forward", "head: linear"),
+        ("head.w1", "forward", "head: mlp hidden layer"),
+        ("dec.0.self_attn.wq", "forward", "dec.0.self_attn: matmul"),
+        # a rollout reads wk only to project rows into its cache
+        ("dec.0.self_attn.wk", "predict", "dec.0.self_attn: matmul"),
+    ])
+    def test_non_finite_value_names_its_layer(self, param, call, message):
+        """A NaN parameter makes the first op that reads it non-finite; the
+        error names the layer in front of the op's own message."""
+        head = "nonlinear" if param == "head.w1" else "linear"
+        cfg = tiny_config(n_decoder_layers=2, output_head=head)
+        model = TransformerModel(cfg, seed=27)
+        model.params[param].data[...] = np.nan
+        rng = np.random.default_rng(27)
+        window = rand_window(rng, cfg)
+        with pytest.raises(NumericError) as info:
+            if call == "forward":
+                model.forward(window, rng.standard_normal((2, 1)))
+            else:
+                model.predict(window, 2)
+        assert str(info.value) == f"{message} produced non-finite values"
+
     def test_tape_op_counts(self, monkeypatch):
         """Tape ops of the desk-scale sparse model with the tanh-sandwich
         head: a lead-1 predict (one Shapley value-function call), an H=7
@@ -350,7 +380,7 @@ class TestForward:
         assert len(calls) == 39, calls
         calls.clear()
         model.predict(windows[0], 7)
-        assert len(calls) == 196, calls
+        assert len(calls) == 195, calls
         calls.clear()
         out = model.forward(windows, rng.standard_normal((8, cfg.horizon, 1)))
         mse(out, Tensor(rng.standard_normal((8, cfg.horizon, 1))))
@@ -441,13 +471,13 @@ class TestPredict:
         cfg = ModelConfig.desk_scale(lookback=30, horizon=7, attention_mode=mode, k_sparse=k)
         model = TransformerModel(cfg, seed=26)
         seen = {}
-        ffn = TransformerModel._ffn
+        mlp = TransformerModel._mlp
 
-        def counting(self, prefix, x):
+        def counting(self, prefix, x, activation):
             seen[prefix] = seen.get(prefix, 0) + x.data.shape[-2]
-            return ffn(self, prefix, x)
+            return mlp(self, prefix, x, activation)
 
-        monkeypatch.setattr(TransformerModel, "_ffn", counting)
+        monkeypatch.setattr(TransformerModel, "_mlp", counting)
         model.predict(np.random.default_rng(26).standard_normal(
             batch + (cfg.lookback, cfg.n_features)), 7)
         assert [seen["dec.0.ffn"], seen["dec.1.ffn"]] == rows

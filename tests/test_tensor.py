@@ -10,7 +10,7 @@ from hydroformer.errors import NumericError, ShapeError
 from hydroformer.gradcheck import grad_check
 from hydroformer import tensor as T
 from hydroformer.tensor import (ACTIVATIONS, Tensor, activation, add, add_bias,
-                                attention_core, backward, concat_cols, head_scores, last_row,
+                                attention_core, backward, concat_cols, head_scores,
                                 layer_norm, linear, masked_softmax, matmul, mlp, mse, mul,
                                 no_grad, scale, sub, swap_leading, tensor_sum, transpose)
 
@@ -434,20 +434,6 @@ class TestBatched:
         assert grad_check(fn, [x]).ok(1e-4)
         with pytest.raises(ShapeError):
             swap_leading(t(np.zeros((3, 4))))
-
-    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4), (2, 1, 4)])
-    def test_last_row_grad(self, shape):
-        rng = np.random.default_rng(40)
-        x = rng.uniform(-1, 1, shape)
-        coef = rng.uniform(-1, 1, shape[:-2] + (1, shape[-1]))
-        assert np.array_equal(last_row(t(x)).data, x[..., -1:, :])
-        fn = lambda ts: tensor_sum(mul(last_row(ts[0]), Tensor(coef)))
-        assert grad_check(fn, [x]).ok(1e-4)
-        leaf = t(x)
-        backward(tensor_sum(mul(last_row(leaf), Tensor(coef))))
-        assert not leaf.grad[..., :-1, :].any()
-        with pytest.raises(ShapeError):
-            last_row(t(np.zeros(4)))
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     def test_head_scores_grad(self, n_heads):
