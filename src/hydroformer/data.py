@@ -213,10 +213,6 @@ def make_windows(series: RawSeries, lookback: int, horizon: int,
                            normalizer=normalizer, splits=splits)
 
 
-def window_count(segment_rows: int, lookback: int, horizon: int) -> int:
-    return max(0, segment_rows - lookback - horizon + 1)
-
-
 def synth_generate(seed: int, length: int, rain_scale: float = 1.0) -> RawSeries:
     """Deterministic synthetic stand-in series.
 

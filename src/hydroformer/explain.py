@@ -47,16 +47,6 @@ class ValueFunction:
         return self.instance.shape[1]
 
 
-def coalition_value(vf: ValueFunction, subset) -> float:
-    """Evaluate the model on a hybrid input: features in `subset` take the
-    instance's values, the rest take baseline values (imputed across every
-    time step of the window uniformly)."""
-    members = {int(j) for j in subset}
-    if not members <= set(range(vf.n_features)):
-        raise ValueError(f"coalition {sorted(members)} outside features 0..{vf.n_features - 1}")
-    return _masked_value(vf, sum(1 << j for j in members))
-
-
 def _masked_value(vf, bitmask):
     keep = ((bitmask >> np.arange(vf.n_features)) & 1).astype(bool)
     return float(vf.predict(np.where(keep, vf.instance, vf.baseline)))

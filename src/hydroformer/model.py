@@ -179,9 +179,6 @@ class TransformerModel:
             if name.endswith(".gamma"):
                 t.data[...] = 1.0
 
-    def parameter_count(self) -> int:
-        return self.flat.size
-
     def zero_grads(self):
         for t in self.params.values():
             t.zero_grad()

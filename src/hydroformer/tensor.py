@@ -181,15 +181,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, kind: str) -> Tensor:
     """linear(x, w1, b1) -> activation(kind) -> linear(., w2, b2) as one op,
     bit for bit that chain in its output and every gradient. The hidden
-    pre-activation is checked for finite values as well as the output."""
+    pre-activation is checked for finite values as well as the output.
+
+    The tape keeps only the pre-activation: backward recomputes the hidden
+    activation from it with the same ufuncs, so it equals the forward's."""
     pre, x2 = _affine(x.data, w1.data, b1.data)
     _check_finite(pre, "mlp hidden layer")
     act, slope = _activation_fns(kind)
-    h = act(pre)
-    out, h2 = _affine(h, w2.data, b2.data)
+    out, _ = _affine(act(pre), w2.data, b2.data)
 
     def bwd(g):
-        gh, gw2, gb2 = _affine_grads(g, h, h2, w2.data, b2.data)
+        h = act(pre)
+        gh, gw2, gb2 = _affine_grads(g, h, h.reshape(-1, w2.data.shape[0]), w2.data, b2.data)
         return (gw2, gb2) + _affine_grads(gh * slope(pre, h), x.data, x2, w1.data, b1.data)
 
     # parents in the order the chain sent their gradients (the second

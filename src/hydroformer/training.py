@@ -4,10 +4,11 @@ validation loss, and per-epoch loss-curve logging.
 Samples go through the model as stacked sub-batches (B x L x F windows), one
 graph each; a mini-batch's gradients accumulate across its sub-batches. The
 sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES, with at least
-one sample per graph. The budget does not bound a paper-scale step: one
-sample's tape is about 4.4 MB, so it runs alone, and the step's peak of about
-91 MiB is set by the parameter gradients (model.flat is 90.2 MiB). Passes that
-record no tape (the validation loss, evaluation rollouts) run in chunks of
+one sample per graph: a desk-scale batch of 32 runs as 2 graphs of 16. The
+budget does not bound a paper-scale step: one sample's tape is about 3.6 MB,
+so it runs alone, and the step's peak of about 91 MiB is set by the
+parameter gradients (model.flat is 90.2 MiB). Passes that record no tape
+(the validation loss, evaluation rollouts) run in chunks of
 forward_batch_size windows, sized from FORWARD_BUDGET_BYTES."""
 
 from dataclasses import dataclass, field
@@ -83,14 +84,6 @@ class LossCurve:
     epochs: list = field(default_factory=list)   # (train_loss, val_loss)
     best_epoch: int = -1
 
-    @property
-    def train_losses(self):
-        return [e[0] for e in self.epochs]
-
-    @property
-    def val_losses(self):
-        return [e[1] for e in self.epochs]
-
     def to_text(self) -> str:
         lines = ["epoch,train_loss,val_loss"]
         for i, (tr, va) in enumerate(self.epochs):
@@ -131,36 +124,36 @@ def teacher_forced_input(window: np.ndarray, targets: np.ndarray,
 
 
 def tape_bytes_per_sample(config: ModelConfig) -> int:
-    """Estimate of the bytes one training sample's graph keeps alive until
-    backward: the inputs, every op output and the arrays backward closures
-    save (layer-norm x-hat and 1/std, the MLP's pre-activation).
+    """Bytes one training sample adds to its graph's peak: the arrays the
+    graph keeps until backward, plus what backward holds beside them.
 
-    The terms also count arrays the fused ops do not store: the GEMM
-    before its bias (linear), the residual sum before its layer norm
-    (layer_norm), the scores before and after their scale (attention_core
-    keeps only the softmax weights) and the relu slope (mlp computes it in
-    backward). So the estimate is high. It is kept as it is on purpose: it
-    sets the sub-batch partition, and with it the order of the gradient sums
-    and the peak memory of training."""
+    The graph keeps the sample's window, decoder input and targets, every op
+    output, attention_core's softmax weights, layer_norm's x-hat and 1/std,
+    mlp's pre-activation and mse's difference; the other arrays backward
+    uses are views of these. Backward peaks in the first attention it
+    sweeps, the last decoder layer's cross attention, which holds the K and
+    V gradients of the memory and four arrays of its scores' size. The
+    per-graph arrays (masks, parameter gradients) are not counted."""
     c = config
     L, H, d, f, nh = c.lookback, c.horizon, c.d_model, c.d_ffn, c.n_heads
 
     def attn(q, k):
-        # q/k/v projections; raw, scaled and softmaxed scores of every head;
-        # head mix, wo, residual, layer norm with its x-hat and 1/std
-        return q * d + 2 * k * d + 3 * nh * q * k + 5 * q * d + q
+        # q rows: projection, head mix, wo, layer norm and its x-hat, 1/std;
+        # k rows: K and V projections; the softmax weights of every head
+        return 5 * q * d + q + 2 * k * d + nh * q * k
 
     def ffn(rows):
-        # w1, bias, relu and its slope; w2, bias; residual, layer norm
-        return 4 * rows * f + 5 * rows * d + rows
+        # mlp pre-activation and output; layer norm and its x-hat, 1/std
+        return rows * f + 3 * rows * d + rows
 
-    head = H * (4 * d + 2) if c.output_head == "nonlinear" else 2 * H
-    values = (L * c.n_features + 2 * L * d              # window, embedding
+    head = H * (d + 1) if c.output_head == "nonlinear" else H
+    values = (L * c.n_features + 2 * H                  # window, decoder input, targets
+              + L * d + H * d                           # embeddings
               + c.n_encoder_layers * (attn(L, L) + ffn(L))
-              + H + 2 * H * d                           # decoder input, embedding
               + c.n_decoder_layers * (attn(H, H) + attn(H, L) + ffn(H))
-              + head + 2 * H)                           # targets, mse difference
-    return 8 * values
+              + head + H)                               # head, mse difference
+    backward_transient = 2 * L * d + 4 * nh * H * L
+    return 8 * (values + backward_transient)
 
 
 def sub_batch_size(config: ModelConfig) -> int:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from hydroformer.tensor import Tensor, backward
 
 
 @dataclass

@@ -9,11 +9,11 @@ from hydroformer.attention import (attention_scores, causal_mask, default_k,
                                    dense_attention, multi_head, sparse_attention,
                                    topk_mask)
 from hydroformer.errors import ShapeError
-from hydroformer.gradcheck import grad_check
 from hydroformer.tensor import Tensor, backward, masked_softmax, mul, tensor_sum
 
 from _oracles import (ref_dense_attention, ref_multi_head, ref_sparse_attention,
                       ref_topk_mask)
+from gradcheck import grad_check
 
 
 def t(data):

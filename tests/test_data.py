@@ -154,9 +154,10 @@ class TestMakeWindows:
     def test_window_count_formula(self):
         series = D.synth_generate(seed=7, length=500)
         ds = D.make_windows(series, lookback=10, horizon=3)
-        assert len(ds.split("train").windows) == D.window_count(350, 10, 3)
-        assert len(ds.split("val").windows) == D.window_count(50, 10, 3)
-        assert len(ds.split("test").windows) == D.window_count(100, 10, 3)
+        # a segment of n rows holds n - lookback - horizon + 1 windows
+        assert len(ds.split("train").windows) == 350 - 10 - 3 + 1
+        assert len(ds.split("val").windows) == 50 - 10 - 3 + 1
+        assert len(ds.split("test").windows) == 100 - 10 - 3 + 1
 
     def test_no_leakage_across_boundaries(self):
         series = D.synth_generate(seed=8, length=500)

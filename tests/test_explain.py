@@ -144,14 +144,6 @@ class TestSampled:
         assert np.max(e.std_errors) < 1e-12
 
 
-def test_coalition_value_rejects_unknown_features():
-    vf = linear_vf([1.0, 2.0], [1.0, 1.0], [0.0, 0.0])
-    assert X.coalition_value(vf, [1]) == 2.0
-    for subset in ([2], [-1]):
-        with pytest.raises(ValueError):
-            X.coalition_value(vf, subset)
-
-
 def test_feature_count_limit():
     limit = X.MAX_FEATURES
     X.ValueFunction(predict=lambda row: 0.0, instance=np.ones((1, limit)),
@@ -223,7 +215,7 @@ class TestModelValueFunction:
         model, ds = self._tiny()
         w = ds.split("test").windows[0]
         vf = X.model_value_function(model, ds.normalizer, w, lead=2)
-        fx = X.coalition_value(vf, range(19))
+        fx = X._values(vf, np.array([(1 << 19) - 1]))[0]
         expect = float(ds.normalizer.invert_target(
             np.array(model.predict(w, 2)[1, 0])))
         assert fx == pytest.approx(expect, abs=1e-12)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,7 @@ from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel
 from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse
 from hydroformer.training import TrainConfig, fit
 
+from _memory import traced
 from _oracles import ref_layer_norm, ref_rollout
 
 
@@ -567,7 +566,7 @@ class TestParameters:
     ])
     def test_count_formula(self, cfg):
         model = TransformerModel(cfg, seed=16)
-        assert model.parameter_count() == self._expected_count(cfg)
+        assert model.flat.size == self._expected_count(cfg)
 
     def test_head_toggle_changes_only_head_shapes(self):
         lin = TransformerModel(tiny_config(output_head="linear"), seed=17)
@@ -661,12 +660,7 @@ class TestParameterVector:
             return load_checkpoint(path)[0].flat.nbytes
 
         nbytes = build_save_load()      # untraced: first-use imports and caches
-        tracemalloc.start()
-        try:
-            build_save_load()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(build_save_load)
         assert peak < 1.5 * nbytes, (peak, nbytes)
 
 

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hydroformer.errors import NumericError, ShapeError
-from hydroformer.gradcheck import grad_check
 from hydroformer import tensor as T
 from hydroformer.tensor import (ACTIVATIONS, Tensor, activation, add, add_bias,
                                 attention_core, backward, concat_cols, head_scores,
                                 layer_norm, linear, masked_softmax, matmul, mlp, mse, mul,
                                 no_grad, scale, sub, swap_leading, tensor_sum, transpose)
 
+from _memory import traced
 from _oracles import (head_mix, ref_attention_core, ref_backward, ref_layer_norm,
                       ref_layer_norm_backward, ref_linear, ref_masked_softmax, ref_mlp)
+from gradcheck import grad_check
 
 
 def t(data, grad=True):
@@ -654,6 +655,20 @@ class TestFused:
             with pytest.raises(type(chain.value)) as fused:
                 mlp(*args)
             assert str(fused.value) == str(chain.value)
+
+    @pytest.mark.parametrize("kind", ACTIVATIONS)
+    def test_mlp_tape_keeps_only_the_pre_activation(self, kind):
+        """Of the arrays of the hidden layer's size, a recorded mlp keeps
+        the pre-activation alone: its live bytes are its output, one hidden
+        array and less than a tenth of another (the node and its closure)."""
+        rng = np.random.default_rng(45)
+        x = t(rng.uniform(-1, 1, (4, 50, 8)))
+        w1, b1 = t(rng.uniform(-1, 1, (8, 100))), t(rng.uniform(-1, 1, 100))
+        w2, b2 = t(rng.uniform(-1, 1, (100, 8))), t(rng.uniform(-1, 1, 8))
+        hidden = 4 * 50 * 100 * 8
+        out, live, _ = traced(lambda: mlp(x, w1, b1, w2, b2, kind))
+        assert out.requires_grad
+        assert out.data.nbytes + hidden <= live < out.data.nbytes + hidden + hidden // 10
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     def test_scaled_head_scores_grad(self, n_heads):

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +9,12 @@ from hydroformer.errors import ConfigError, DataError, NumericError
 from hydroformer.model import ModelConfig, TransformerModel
 from hydroformer.tensor import Tensor, backward, mse
 from hydroformer.training import (FORWARD_BUDGET_BYTES, TAPE_BUDGET_BYTES, Adam,
-                                  EarlyStopper, LossCurve, TrainConfig, _split_loss,
+                                  EarlyStopper, LossCurve, TrainConfig, _batch, _split_loss,
                                   _sub_batches, evaluate_split, fit, forward_batch_size,
-                                  sub_batch_size, teacher_forced_input)
+                                  sub_batch_size, tape_bytes_per_sample,
+                                  teacher_forced_input)
 
+from _memory import traced
 from _oracles import ref_adam_step, ref_rollout
 
 
@@ -75,11 +76,13 @@ class TestAdam:
 
     def test_matches_per_tensor_oracle_on_sub_batched_gradients(self, monkeypatch):
         """Five fit steps of a desk model, each batch of 49 samples in five
-        sub-batches: after every step the parameters and both moments equal
-        the per-tensor loop's, bit for bit."""
+        sub-batches of at most 10: after every step the parameters and both
+        moments equal the per-tensor loop's, bit for bit."""
         cfg = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
                                      lookback=30, horizon=7)
         model = TransformerModel(cfg, seed=4)
+        monkeypatch.setattr(training, "TAPE_BUDGET_BYTES",
+                            10 * training.tape_bytes_per_sample(cfg))
         ds = D.make_windows(D.synth_generate(seed=4, length=400), 30, 7)
         batch_size = -(-len(ds.split("train").windows) // 5)
         assert batch_size > 4 * training.sub_batch_size(cfg)
@@ -167,11 +170,12 @@ class TestTeacherForcing:
 
 DESK = ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear",
                               lookback=30, horizon=7)
+PAPER = ModelConfig(attention_mode="sparse", output_head="nonlinear", lookback=30, horizon=7)
 
 
 class TestSubBatches:
     def test_sizes(self):
-        assert sub_batch_size(DESK) == 10
+        assert sub_batch_size(DESK) == 16
         # a paper-scale sample alone exceeds the budget: one sample per graph
         assert sub_batch_size(ModelConfig(lookback=30, horizon=7)) == 1
         assert [len(c) for c in _sub_batches(np.arange(32), 10)] == [8, 8, 8, 8]
@@ -184,14 +188,25 @@ class TestSubBatches:
         windows = rng.standard_normal((b, DESK.lookback, DESK.n_features))
         targets = rng.standard_normal((b, DESK.horizon))
         dec = teacher_forced_input(windows, targets, D.TARGET_INDEX)
-        tracemalloc.start()
-        try:
-            loss = mse(model.forward(windows, dec), Tensor(targets[..., None]))
-            backward(loss)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: backward(mse(model.forward(windows, dec),
+                                                 Tensor(targets[..., None]))))
         assert peak < TAPE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("cfg, b", [(DESK, 16), (PAPER, 1)], ids=["desk", "paper"])
+    def test_estimate_covers_the_live_tape_within_15_percent(self, cfg, b):
+        """A graph of b samples, inputs made as fit makes them, holds at most
+        tape_bytes_per_sample per sample after forward, and more than
+        1/1.15 of it."""
+        model = TransformerModel(cfg, seed=0)
+        samples = D.make_windows(D.synth_generate(seed=0, length=400), cfg.lookback,
+                                 cfg.horizon).split("train")
+
+        def graph():
+            w, dec_in, tgt = _batch(samples, np.arange(b), D.TARGET_INDEX)
+            return mse(model.forward(w, dec_in), Tensor(tgt))
+
+        _, live, _ = traced(graph)
+        assert live / b <= tape_bytes_per_sample(cfg) <= 1.15 * live / b
 
 
 class TestFit:
@@ -205,7 +220,8 @@ class TestFit:
         for name in before:
             assert np.array_equal(before[name], after[name])
         # shuffle reorders the per-sample sum, so allow rounding-level wiggle
-        assert max(curve.train_losses) - min(curve.train_losses) < 1e-12
+        train_losses = [tr for tr, _ in curve.epochs]
+        assert max(train_losses) - min(train_losses) < 1e-12
 
     def test_seeded_runs_identical(self):
         ds = small_dataset()
@@ -220,9 +236,10 @@ class TestFit:
         cfg = TrainConfig(max_epochs=6, learning_rate=3e-3, seed=6,
                           early_stop_patience=2)
         curve = fit(model, ds, cfg)
-        assert curve.best_epoch == int(np.argmin(curve.val_losses))
+        val_losses = [va for _, va in curve.epochs]
+        assert curve.best_epoch == int(np.argmin(val_losses))
         val_now = _split_loss(model, ds.split("val"), D.TARGET_INDEX)
-        assert val_now == pytest.approx(min(curve.val_losses), abs=1e-12)
+        assert val_now == pytest.approx(min(val_losses), abs=1e-12)
 
     def test_batch_gradient_is_mean_of_per_sample_gradients(self, monkeypatch):
         """Sub-batches of unequal size (3, 3, 2) weight to the batch mean."""
@@ -392,17 +409,11 @@ class TestForwardBatchSize:
             32 * 20 * 4 * 20)
 
     def test_paper_scale_chunk_rollout_peak_under_budget(self):
-        cfg = ModelConfig(attention_mode="sparse", output_head="nonlinear",
-                          lookback=30, horizon=7)
+        cfg = PAPER
         model = TransformerModel(cfg, seed=0)
         windows = np.random.default_rng(0).standard_normal(
             (forward_batch_size(cfg), cfg.lookback, cfg.n_features))
-        tracemalloc.start()
-        try:
-            model.predict(windows, cfg.horizon)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(lambda: model.predict(windows, cfg.horizon))
         assert peak < FORWARD_BUDGET_BYTES
 
     def test_split_loss_chunks_by_forward_batch_size(self, monkeypatch):
