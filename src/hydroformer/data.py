@@ -46,7 +46,7 @@ def _csv_rows(path, f):
 
 def load_table(path) -> RawSeries:
     """Parse the delimited input format: header `date,<19 feature names>`,
-    ISO dates, empty field = missing, every other field a finite number."""
+    daily ISO dates, empty field = missing, every other field a finite number."""
     expected = ["date"] + list(FEATURE_COLUMNS)
     try:
         f = open(path, newline="", encoding="utf-8")
@@ -73,9 +73,6 @@ def load_table(path) -> RawSeries:
                 d = datetime.date.fromisoformat(row[0])
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: unparsable date {row[0]!r}") from e
-            if dates and d <= dates[-1]:
-                raise DataError(f"{path}:{lineno}: date {d} not after {dates[-1]}")
-            dates.append(d)
             vals = []
             for name, cell in zip(FEATURE_COLUMNS, row[1:]):
                 if cell.strip() == "":
@@ -88,6 +85,10 @@ def load_table(path) -> RawSeries:
                 if not math.isfinite(val):
                     raise DataError(f"{path}:{lineno}: bad value {cell!r} in {name}")
                 vals.append(val)
+            if dates and d != dates[-1] + datetime.timedelta(days=1):
+                raise DataError(f"{path}:{lineno}: date {d} is not the day after {dates[-1]}; "
+                                f"write a missing day as a row of empty fields")
+            dates.append(d)
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -179,10 +179,6 @@ class TransformerModel:
             if name.endswith(".gamma"):
                 t.data[...] = 1.0
 
-    def zero_grads(self):
-        for t in self.params.values():
-            t.zero_grad()
-
     # -- forward pieces -----------------------------------------------------
 
     @_named
@@ -387,7 +383,7 @@ def _config_from_header(config) -> ModelConfig:
     unknown, missing = sorted(set(config) - set(types)), sorted(set(types) - set(config))
     if unknown or missing:
         raise DataError(f"checkpoint config: unknown keys {unknown}, missing keys {missing}")
-    bad = sorted(n for n, v in config.items() if not isinstance(v, types[n]))
+    bad = sorted(n for n, v in config.items() if type(v) is bool or not isinstance(v, types[n]))
     if bad:
         raise DataError(f"checkpoint config: bad value types for {bad}")
     try:

@@ -49,7 +49,7 @@ class Tensor:
 
     The constructor makes leaves; op nodes come only from the ops. Parameters
     change in place, only between graphs; other data never changes. .grad
-    accumulates on leaves (reset via zero_grad); an op node holds one only
+    accumulates on leaves, in place once set; an op node holds one only
     during a backward sweep.
     """
 
@@ -70,9 +70,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def __add__(self, other):
         return add(self, other)
@@ -465,8 +462,8 @@ def tensor_sum(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; adds the gradient into .grad of
     every leaf (a requires_grad tensor no op made) reachable from it.
-    Gradients accumulate additively across multiple uses of the same tensor
-    and across backward calls (reset with zero_grad).
+    Gradients accumulate across uses and backward calls, in place in a leaf's
+    .grad; a leaf without one gets a copy, as add sends one array to both inputs.
 
     Op nodes are swept in reverse creation order, which is topological: an
     op's inputs exist before it, so a node is swept after all its consumers.
@@ -504,4 +501,7 @@ def backward(loss: Tensor) -> None:
             if parent.requires_grad:
                 send(parent, pg)
     for leaf, g in leaves:
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
+        if leaf.grad is None:
+            leaf.grad = g.copy()
+        else:
+            leaf.grad += g

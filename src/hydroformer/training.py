@@ -6,8 +6,8 @@ graph each; a mini-batch's gradients accumulate across its sub-batches. The
 sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES, with at least
 one sample per graph: a desk-scale batch of 32 runs as 2 graphs of 16. The
 budget does not bound a paper-scale step: one sample's tape is about 3.6 MB,
-so it runs alone, and the step's peak of about 91 MiB is set by the
-parameter gradients (model.flat is 90.2 MiB). Passes that record no tape
+so it runs alone, and the step peaks in Adam's update, at three temporaries
+the size of model.flat (90.2 MiB). Passes that record no tape
 (the validation loss, evaluation rollouts) run in chunks of
 forward_batch_size windows, sized from FORWARD_BUDGET_BYTES."""
 
@@ -51,7 +51,7 @@ class TrainConfig:
 class Adam:
     """Standard bias-corrected Adam over a parameter vector `flat`, tiled in
     order by the views of the name->Tensor map `params` (a model's `flat`
-    and `params`). A missing gradient counts as zero."""
+    and `params`); each parameter's .grad views Adam's `grad` the same way."""
 
     def __init__(self, params: dict, flat: np.ndarray, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -60,13 +60,15 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self.grad = np.zeros_like(flat)
+        sizes = [p.data.size for p in params.values()]
+        for p, g in zip(params.values(), np.split(self.grad, np.cumsum(sizes)[:-1])):
+            p.grad = g.reshape(p.data.shape)
 
     def step(self, lr: float) -> None:
-        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
-                            for p in self.params.values()])
+        g = self.grad
         if not np.isfinite(g).all():
-            name = next(n for n, p in self.params.items()
-                        if p.grad is not None and not np.isfinite(p.grad).all())
+            name = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
             raise NumericError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t = self.step_count
@@ -220,7 +222,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start: start + cfg.batch_size]
-            model.zero_grads()
+            optimizer.grad.fill(0.0)
             for idx in _sub_batches(batch, sub):
                 try:
                     w, dec_in, tgt = _batch(train, idx, TARGET_INDEX)

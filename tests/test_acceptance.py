@@ -92,7 +92,8 @@ def test_criterion_01_gradient_integrity():
         out = model.forward(window, dec_in)
         return float(np.mean((out.data.ravel() - tgt) ** 2))
 
-    model.zero_grads()
+    for p in model.params.values():
+        p.grad = None
     backward(mse(model.forward(window, dec_in), Tensor(tgt[:, None])))
     eps = 1e-5
     e2e_worst = 0.0

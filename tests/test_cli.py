@@ -181,6 +181,7 @@ _NEG_INF = np.float64(-np.inf).tobytes()
     (lambda h: h["config"].pop("d_ffn"), bytes),
     (lambda h: h["config"].update(attention_mode="banded"), bytes),
     (lambda h: h["config"].update(d_model="eight"), bytes),
+    (lambda h: h["config"].update(lookback=True), bytes),
     (lambda h: h.pop("config"), bytes),
     (lambda h: h.pop("params"), bytes),
     (lambda h: h.pop("normalizer"), bytes),
@@ -194,9 +195,9 @@ _NEG_INF = np.float64(-np.inf).tobytes()
     (lambda h: h["normalizer"]["std"].__setitem__(0, -1.0), bytes),
     (lambda h: h["normalizer"]["std"].__setitem__(0, 0.0), bytes),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
-        "bad_config_type", "missing_config", "missing_params", "missing_normalizer",
-        "trailing_bytes", "normalizer_length", "v1_header", "nan_first_param",
-        "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
+        "bad_config_type", "bool_config_value", "missing_config", "missing_params",
+        "missing_normalizer", "trailing_bytes", "normalizer_length", "v1_header",
+        "nan_first_param", "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
         "negative_normalizer_std", "zero_normalizer_std"])
 def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, edit_body):
     header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")

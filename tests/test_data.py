@@ -39,6 +39,13 @@ class TestLoadTable:
         with pytest.raises(DataError, match=":3"):
             D.load_table(p)
 
+    def test_skipped_day_cites_row_and_says_how_to_write_it(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        _write_csv(p, [_row("2000-01-01"), _row("2000-01-02"), _row("2000-01-04")])
+        with pytest.raises(DataError, match=r":4: date 2000-01-04 is not the day after "
+                                            r"2000-01-02; .*row of empty fields"):
+            D.load_table(p)
+
     def test_unparsable_date(self, tmp_path):
         p = tmp_path / "date.csv"
         _write_csv(p, [_row("01/02/2000")])

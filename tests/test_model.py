@@ -389,7 +389,8 @@ class TestForward:
 def _step(model, window, dec, target):
     """Output of one forward and every parameter gradient of mse * n_samples,
     i.e. of the per-sample losses summed."""
-    model.zero_grads()
+    for p in model.params.values():
+        p.grad = None
     out = model.forward(window, dec)
     backward(mse(out, Tensor(target)) * float(1 if window.ndim == 2 else len(window)))
     return out.data, {n: p.grad for n, p in model.params.items()}

@@ -227,6 +227,15 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             backward(loss)
 
+    def test_in_place_accumulation_keeps_a_shared_gradient_apart(self):
+        # add sends one array to both parents; a later in-place add into a
+        # must not reach b
+        a, b = t([1.0, 2.0]), t([3.0, 4.0])
+        backward(tensor_sum(add(a, b)))
+        backward(tensor_sum(scale(a, 2.0)))
+        assert np.array_equal(b.grad, [1, 1])
+        assert np.array_equal(a.grad, [3, 3])
+
     def test_linearity_of_accumulation(self):
         rng = np.random.default_rng(8)
         base = rng.uniform(-2, 2, 5)
