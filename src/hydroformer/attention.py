@@ -1,9 +1,11 @@
 """Scaled dot-product attention, explicit top-k sparse attention, causal
-masking, and multi-head composition. One path serves every head count and
-batch size: head h's scores are row block h of one stacked (n_heads * Lq) x Lk
-matrix per batch item, and masks of that matrix's shape are shared by every
-item of a batch. Scores, top-k, softmax and the head mix run as one tape op,
-tensor.attention_core."""
+masking, and multi-head composition. One function, attend, serves dense and
+sparse attention, every head count and every batch size: head h's scores are
+row block h of one stacked (n_heads * Lq) x Lk matrix per batch item, and
+masks of that matrix's shape are shared by every item of a batch. Scores,
+top-k, softmax and the head mix run as one tape op, tensor.attention_core.
+multi_head projects only the queries and the output; the model projects keys
+and values in one place, TransformerModel._kv."""
 
 import math
 
@@ -63,35 +65,22 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=bool))
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, k_sparse: int | None, causal: bool,
-            n_heads: int = 1) -> Tensor:
+def attend(q: Tensor, k: Tensor, v: Tensor, k_sparse: int | None = None,
+           causal: bool = False, n_heads: int = 1) -> Tensor:
+    """softmax(Mask(Q_h K_h^T / sqrt(d_head), k_sparse)) V_h per head, heads
+    concatenated on the columns. k_sparse None is dense attention; otherwise
+    only the top-k scores per row survive the softmax, which equals dense
+    attention when k_sparse >= the number of keys."""
     # one (n_heads * Lq) x Lk mask serves every batch item; a non-square
     # causal mask fails attention_core's shape check
     allowed = np.tile(causal_mask(q.data.shape[-2]), (n_heads, 1)) if causal else None
     return attention_core(q, k, v, n_heads, _scale(q, n_heads), allowed, k_sparse)
 
 
-def dense_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V."""
-    return _attend(q, k, v, None, causal)
-
-
-def sparse_attention(q: Tensor, k: Tensor, v: Tensor, k_sparse: int,
-                     causal: bool = False) -> Tensor:
-    """softmax(Mask(P, k)) V: only the top-k scores per row survive the
-    softmax. Equals dense_attention when k >= number of keys."""
-    return _attend(q, k, v, k_sparse, causal)
-
-
-def multi_head(q_in: Tensor, k_in: Tensor, v_in: Tensor, weights, n_heads: int,
+def multi_head(q_in: Tensor, k: Tensor, v: Tensor, weights, n_heads: int,
                k_sparse: int | None = None, causal: bool = False) -> Tensor:
-    """weights = (wq, wk, wv, wo), each d x d; head h projects with column
-    block h of wq, wk and wv. k_sparse None is dense attention.
-
-    wk and wv None take k_in and v_in as keys and values already projected:
-    a cross-attention K/V made once per rollout, or a rollout's decoder
-    self-attention K/V kept from earlier steps."""
-    wq, wk, wv, wo = weights
-    k = k_in if wk is None else matmul(k_in, wk)
-    v = v_in if wv is None else matmul(v_in, wv)
-    return matmul(_attend(matmul(q_in, wq), k, v, k_sparse, causal, n_heads), wo)
+    """weights = (wq, wo), each d x d; k and v are keys and values already
+    projected (model._kv). Head h reads column block h of q_in @ wq, k and v;
+    the heads' outputs are mixed by wo."""
+    wq, wo = weights
+    return matmul(attend(matmul(q_in, wq), k, v, k_sparse, causal, n_heads), wo)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import default_k, dense_attention, sparse_attention
+from .attention import attend, default_k
 from .tensor import Tensor, backward, tensor_sum
 
 
@@ -29,10 +29,7 @@ def _one_pass(q, k, v, k_sparse):
     qt = Tensor(q, requires_grad=True)
     kt = Tensor(k, requires_grad=True)
     vt = Tensor(v, requires_grad=True)
-    if k_sparse is None:
-        out = dense_attention(qt, kt, vt)
-    else:
-        out = sparse_attention(qt, kt, vt, k_sparse)
+    out = attend(qt, kt, vt, k_sparse)
     backward(tensor_sum(out))
     return out.data
 

@@ -98,7 +98,7 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
 def load_run_config(path, seed_override=None) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return build_run_config(parse_config_text(text), seed_override)
 

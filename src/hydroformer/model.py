@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -205,21 +206,13 @@ class TransformerModel:
 
     @_named
     def _mha(self, prefix, q_in, kv, causal=False):
-        """kv is the Tensor that self-attention projects to K and V, passed
-        as the same Tensor as q_in, or a (K, V) pair already projected: the
-        cross-attention pair from cross_kv, or a rollout's decoder
-        self-attention pair from its cache. perfbench's tracer tells self
-        from cross attention by that identity, so it files the cached
-        decoder self-attention as cross."""
-        p = self.params
-        if isinstance(kv, Tensor):
-            k_in = v_in = kv
-            wk, wv = p[f"{prefix}.wk"], p[f"{prefix}.wv"]
-        else:
-            (k_in, v_in), wk, wv = kv, None, None
-        weights = (p[f"{prefix}.wq"], wk, wv, p[f"{prefix}.wo"])
-        return multi_head(q_in, k_in, v_in, weights, self.config.n_heads,
-                          self.config.effective_k(k_in.data.shape[-2]), causal)
+        """kv is this layer's (K, V) pair as _kv makes it: from q_in's own
+        rows in self-attention, from cross_kv's memory in cross-attention,
+        or joined with a rollout cache's earlier rows."""
+        k, v = kv
+        weights = (self.params[f"{prefix}.wq"], self.params[f"{prefix}.wo"])
+        return multi_head(q_in, k, v, weights, self.config.n_heads,
+                          self.config.effective_k(k.data.shape[-2]), causal)
 
     def embed_encoder(self, window) -> Tensor:
         """Window rows @ W plus the positional table, which broadcasts over
@@ -244,7 +237,8 @@ class TransformerModel:
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
         x = x_emb
         for i in range(self.config.n_encoder_layers):
-            h = self._ln(f"enc.{i}.ln1", x, self._mha(f"enc.{i}.attn", x, x))
+            prefix = f"enc.{i}.attn"
+            h = self._ln(f"enc.{i}.ln1", x, self._mha(prefix, x, self._kv(prefix, x)))
             x = self._ln(f"enc.{i}.ln2", h, self._mlp(f"enc.{i}.ffn", h, "relu"))
         return x
 
@@ -279,9 +273,9 @@ class TransformerModel:
             y = Tensor(y.data[..., cache[0][0].shape[-2]:, :])     # the rows not yet decoded
         n = self.config.n_decoder_layers
         for i in range(n):
-            prefix, kv = f"dec.{i}.self_attn", y
+            prefix = f"dec.{i}.self_attn"
+            kv = self._kv(prefix, y)
             if cache is not None:
-                kv = self._kv(prefix, y)
                 if cache[i] is not None:
                     kv = tuple(Tensor(np.concatenate((a, t.data), axis=-2))
                                for a, t in zip(cache[i], kv))
@@ -358,8 +352,9 @@ class TransformerModel:
 # parameter in manifest order, raw little-endian float64. Fully
 # deterministic bytes for a given model state.
 
-def _manifest(model: TransformerModel) -> list:
-    return [{"name": n, "shape": list(t.data.shape)} for n, t in model.params.items()]
+def _manifest(config: ModelConfig) -> list:
+    shapes, _ = _layout(config)
+    return [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
 
 
 def save_checkpoint(model: TransformerModel, normalizer, path) -> None:
@@ -368,7 +363,7 @@ def save_checkpoint(model: TransformerModel, normalizer, path) -> None:
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "normalizer": None if normalizer is None else normalizer.to_dict(),
-        "params": _manifest(model),
+        "params": _manifest(model.config),
     }
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -409,7 +404,9 @@ def _normalizer_from_header(entry, n_features: int) -> Normalizer:
 
 def load_checkpoint(path):
     """Returns (model, normalizer); normalizer may be None. A malformed file,
-    or one whose parameters hold NaN or inf, raises DataError."""
+    or one whose parameters hold NaN or inf, raises DataError. The header's
+    config is checked against its manifest and the body's size before the
+    model is built, so an edited shape allocates nothing."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -427,9 +424,19 @@ def load_checkpoint(path):
         missing = [k for k in ("config", "normalizer", "params") if k not in header]
         if missing:
             raise DataError(f"checkpoint header lacks {missing}")
-        model = TransformerModel(_config_from_header(header["config"]), seed=None)
-        if header["params"] != _manifest(model):
+        config = _config_from_header(header["config"])
+        body = os.fstat(f.fileno()).st_size - len(header_line)
+        # every layer holds parameters: this refuses a huge layer count before
+        # _layout, whose time grows with it
+        if config.n_encoder_layers + config.n_decoder_layers > body // 8:
+            raise DataError("checkpoint body is too short for its config's layers")
+        manifest = _manifest(config)
+        if header["params"] != manifest:
             raise DataError("checkpoint parameter manifest does not match its config")
+        need = 8 * sum(math.prod(p["shape"]) for p in manifest)
+        if body != need:
+            raise DataError(f"checkpoint body holds {body} bytes, its manifest {need}")
+        model = TransformerModel(config, seed=None)
         if f.readinto(model.flat) != model.flat.nbytes:
             raise DataError("checkpoint truncated")
         if f.read(1):

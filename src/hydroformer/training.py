@@ -6,7 +6,7 @@ graph each; a mini-batch's gradients accumulate across its sub-batches. The
 sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES, with at least
 one sample per graph: a desk-scale batch of 32 runs as 2 graphs of 16. The
 budget does not bound a paper-scale step: one sample's tape is about 3.6 MB,
-so it runs alone, and the step peaks in Adam's update, at three temporaries
+so it runs alone, and the step peaks in Adam's update, at two temporaries
 the size of model.flat (90.2 MiB). Passes that record no tape
 (the validation loss, evaluation rollouts) run in chunks of
 forward_batch_size windows, sized from FORWARD_BUDGET_BYTES."""
@@ -78,7 +78,13 @@ class Adam:
         self.m += (1.0 - self.beta1) * g
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * g * g
-        self.flat -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        step = self.m / bc1             # two temporaries, updated in place
+        step *= lr
+        denom = self.v / bc2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        self.flat -= step
 
 
 @dataclass

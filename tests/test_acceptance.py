@@ -9,8 +9,7 @@ import pytest
 from hydroformer import cli
 from hydroformer import data as D
 from hydroformer import explain as X
-from hydroformer.attention import (causal_mask, dense_attention, sparse_attention,
-                                   topk_mask)
+from hydroformer.attention import attend, causal_mask, topk_mask
 from hydroformer.metrics import DegenerateDenominatorError, mae, mbe, r2, rmse
 from hydroformer.model import ModelConfig, TransformerModel, checkpoint_digest
 from hydroformer.tensor import (Tensor, activation, backward, layer_norm,
@@ -76,7 +75,7 @@ def test_criterion_01_gradient_integrity():
             lambda ts, act=act: mse(activation(ts[0], act), Tensor(np.zeros((3, 4)))),
             [rng.standard_normal((3, 4)) + 0.05]))
     op_reports.append(grad_check(
-        lambda ts: mse(sparse_attention(ts[0], ts[1], ts[2], 2),
+        lambda ts: mse(attend(ts[0], ts[1], ts[2], 2),
                        Tensor(np.zeros((4, 3)))),
         [rng.standard_normal((4, 3)) * 2 for _ in range(3)]))
     ops_worst = max(r.max_rel_error for r in op_reports)
@@ -121,9 +120,9 @@ def test_criterion_02_sparse_dense_equivalence():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         q, k, v = (rng.standard_normal((6, 4)) for _ in range(3))
-        dense = dense_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        dense = attend(Tensor(q), Tensor(k), Tensor(v)).data
         for ks in (6, 9):
-            sparse = sparse_attention(Tensor(q), Tensor(k), Tensor(v), ks).data
+            sparse = attend(Tensor(q), Tensor(k), Tensor(v), ks).data
             worst_attn = max(worst_attn, float(np.max(np.abs(dense - sparse))))
 
     worst_e2e = 0.0

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroformer.attention import (attention_scores, causal_mask, default_k,
-                                   dense_attention, multi_head, sparse_attention,
-                                   topk_mask)
+from hydroformer.attention import (attend, attention_scores, causal_mask, default_k,
+                                   multi_head, topk_mask)
 from hydroformer.errors import ShapeError
-from hydroformer.tensor import Tensor, backward, masked_softmax, mul, tensor_sum
+from hydroformer.tensor import Tensor, backward, masked_softmax, matmul, mul, tensor_sum
 
 from _oracles import (ref_dense_attention, ref_multi_head, ref_sparse_attention,
                       ref_topk_mask)
@@ -117,37 +116,37 @@ class TestCausalMask:
 class TestDenseAttention:
     def test_single_key_returns_v_row(self):
         v = np.array([[3.0, -1.0]])
-        out = dense_attention(t([[5.0, 5.0]]), t([[0.1, 0.2]]), t(v))
+        out = attend(t([[5.0, 5.0]]), t([[0.1, 0.2]]), t(v))
         assert np.allclose(out.data, v, atol=1e-15)
 
     def test_identical_keys_give_column_mean(self):
         rng = np.random.default_rng(6)
         k = np.tile(rng.standard_normal((1, 4)), (5, 1))
         v = rng.standard_normal((5, 3))
-        out = dense_attention(t(rng.standard_normal((2, 4))), t(k), t(v))
+        out = attend(t(rng.standard_normal((2, 4))), t(k), t(v))
         assert np.allclose(out.data, v.mean(axis=0), atol=1e-12)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(7)
         q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
-        out = dense_attention(t(q), t(k), t(v))
+        out = attend(t(q), t(k), t(v))
         assert np.allclose(out.data, ref_dense_attention(q, k, v), atol=1e-12)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError):
-            dense_attention(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros((5, 3))))
+            attend(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros((5, 3))))
 
     def test_causal_needs_square_scores(self):
         with pytest.raises(ShapeError):
-            dense_attention(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros((4, 3))),
-                            causal=True)
+            attend(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros((4, 3))),
+                   causal=True)
 
     def test_kv_permutation_invariance(self):
         rng = np.random.default_rng(8)
         q, k, v = rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         perm = rng.permutation(5)
-        a = dense_attention(t(q), t(k), t(v)).data
-        b = dense_attention(t(q), t(k[perm]), t(v[perm])).data
+        a = attend(t(q), t(k), t(v)).data
+        b = attend(t(q), t(k[perm]), t(v[perm])).data
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -155,9 +154,9 @@ class TestSparseAttention:
     def test_degenerates_to_dense(self):
         rng = np.random.default_rng(9)
         q, k, v = (rng.standard_normal((4, 5)) for _ in range(3))
-        dense = dense_attention(t(q), t(k), t(v)).data
+        dense = attend(t(q), t(k), t(v)).data
         for kk in (4, 10):
-            sparse = sparse_attention(t(q), t(k), t(v), kk).data
+            sparse = attend(t(q), t(k), t(v), kk).data
             assert np.max(np.abs(sparse - dense)) <= 1e-12
 
     def test_k_one_returns_argmax_row(self):
@@ -165,14 +164,14 @@ class TestSparseAttention:
         q, k = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 2))
         p = q @ k.T
-        out = sparse_attention(t(q), t(k), t(v), 1).data
+        out = attend(t(q), t(k), t(v), 1).data
         for i in range(3):
             assert np.allclose(out[i], v[np.argmax(p[i])], atol=1e-15)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(11)
         q, k, v = (rng.standard_normal((4, 4)) for _ in range(3))
-        out = sparse_attention(t(q), t(k), t(v), 2).data
+        out = attend(t(q), t(k), t(v), 2).data
         assert np.allclose(out, ref_sparse_attention(q, k, v, 2), atol=1e-12)
 
     def test_weight_rows_stochastic_and_supported_on_kept(self):
@@ -189,7 +188,7 @@ class TestSparseAttention:
         q, k, v = (rng.uniform(-2, 2, (4, 3)) for _ in range(3))
 
         def fn(ts):
-            return tensor_sum(sparse_attention(ts[0], ts[1], ts[2], 2))
+            return tensor_sum(attend(ts[0], ts[1], ts[2], 2))
 
         assert grad_check(fn, [q, k, v]).ok(1e-4)
 
@@ -198,7 +197,7 @@ class TestSparseAttention:
         q, k, v = (rng.uniform(-2, 2, (4, 8)) for _ in range(3))
 
         def fn(ts):
-            return tensor_sum(dense_attention(ts[0], ts[1], ts[2]))
+            return tensor_sum(attend(ts[0], ts[1], ts[2]))
 
         assert grad_check(fn, [q, k, v]).ok(1e-4)
 
@@ -212,18 +211,18 @@ class TestMultiHead:
         d = 4
         wq, wk, wv, _ = self._params(rng, d)
         x = rng.standard_normal((3, d))
-        out = multi_head(t(x), t(x), t(x), (wq, wk, wv, t(np.eye(d))), 1)
-        single = dense_attention(Tensor(x @ wq.data), Tensor(x @ wk.data),
-                                 Tensor(x @ wv.data))
+        out = multi_head(t(x), matmul(t(x), wk), matmul(t(x), wv), (wq, t(np.eye(d))), 1)
+        single = attend(Tensor(x @ wq.data), Tensor(x @ wk.data), Tensor(x @ wv.data))
         assert np.allclose(out.data, single.data, atol=1e-12)
 
     def test_sparse_k_geq_length_equals_dense(self):
         rng = np.random.default_rng(16)
         d = 6
-        params = self._params(rng, d)
-        x = rng.standard_normal((5, d))
-        dense = multi_head(t(x), t(x), t(x), params, 2)
-        sparse = multi_head(t(x), t(x), t(x), params, 2, k_sparse=5)
+        wq, wk, wv, wo = self._params(rng, d)
+        x = t(rng.standard_normal((5, d)))
+        k, v = matmul(x, wk), matmul(x, wv)
+        dense = multi_head(x, k, v, (wq, wo), 2)
+        sparse = multi_head(x, k, v, (wq, wo), 2, k_sparse=5)
         assert np.array_equal(dense.data, sparse.data)
 
     def test_two_head_reference(self):
@@ -231,7 +230,8 @@ class TestMultiHead:
         d = 8
         params = self._params(rng, d)
         x = rng.standard_normal((4, d))
-        out = multi_head(t(x), t(x), t(x), params, 2)
+        out = multi_head(t(x), matmul(t(x), params[1]), matmul(t(x), params[2]),
+                         (params[0], params[3]), 2)
         wq, wk, wv = (np.hsplit(w.data, 2) for w in params[:3])
         ref = ref_multi_head(x, x, x, wq, wk, wv, params[3].data)
         assert np.allclose(out.data, ref, atol=1e-12)
@@ -246,8 +246,8 @@ class TestMultiHead:
         k_sparse = 2 if mode.endswith("sparse") else None
         q_in = rng.standard_normal((6 if causal else 5, d))
         kv_in = q_in if causal else rng.standard_normal((7, d))
-        out = multi_head(t(q_in), t(kv_in), t(kv_in), params, n_heads,
-                         k_sparse=k_sparse, causal=causal)
+        out = multi_head(t(q_in), matmul(t(kv_in), params[1]), matmul(t(kv_in), params[2]),
+                         (params[0], params[3]), n_heads, k_sparse=k_sparse, causal=causal)
         wq, wk, wv = (np.hsplit(w.data, n_heads) for w in params[:3])
         ref = ref_multi_head(q_in, kv_in, kv_in, wq, wk, wv, params[3].data,
                              kk=k_sparse, causal=causal)
@@ -257,10 +257,10 @@ class TestMultiHead:
     @pytest.mark.parametrize("k_sparse", [None, 1, 2, 9])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_newest_row_and_projected_kv_match_oracle(self, n_heads, k_sparse, batch):
-        """Keys and values projected before the call (wk, wv None) give the
-        cross-attention oracle; with the last query row alone and no mask,
-        the causal self-attention oracle's last row, as a decoder step with
-        cached K/V computes it."""
+        """Keys and values projected from the memory give the cross-attention
+        oracle; with the last query row alone and no mask, keys and values
+        projected from every row give the causal self-attention oracle's
+        last row, as a decoder step with cached K/V computes it."""
         rng = np.random.default_rng(30 + n_heads)
         d = 8
         params = self._params(rng, d)
@@ -268,9 +268,9 @@ class TestMultiHead:
         wo = params[3].data
         x, memory = rng.standard_normal(batch + (6, d)), rng.standard_normal(batch + (7, d))
         newest = multi_head(t(x[..., -1:, :]), t(x @ params[1].data), t(x @ params[2].data),
-                            (params[0], None, None, params[3]), n_heads, k_sparse=k_sparse).data
+                            (params[0], params[3]), n_heads, k_sparse=k_sparse).data
         k, v = t(memory @ params[1].data), t(memory @ params[2].data)
-        cross = multi_head(t(x), k, v, (params[0], None, None, params[3]), n_heads,
+        cross = multi_head(t(x), k, v, (params[0], params[3]), n_heads,
                            k_sparse=k_sparse).data
         assert newest.shape == batch + (1, d)
         for i in np.ndindex(batch):
@@ -282,36 +282,42 @@ class TestMultiHead:
     def test_causal_future_invariance(self):
         rng = np.random.default_rng(18)
         d = 4
-        params = self._params(rng, d)
+        wq, wk, wv, wo = self._params(rng, d)
+
+        def self_attention(x):
+            x = t(x)
+            return multi_head(x, matmul(x, wk), matmul(x, wv), (wq, wo), 2, causal=True).data
+
         x = rng.standard_normal((5, d))
-        base = multi_head(t(x), t(x), t(x), params, 2, causal=True).data
+        base = self_attention(x)
         bumped = x.copy()
         bumped[3:] += rng.standard_normal((2, d))
-        out = multi_head(t(bumped), t(bumped), t(bumped), params, 2, causal=True).data
+        out = self_attention(bumped)
         assert np.array_equal(base[:3], out[:3])
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(19)
         params = self._params(rng, 4)
         with pytest.raises(ShapeError):
-            multi_head(t(np.zeros((3, 6))), t(np.zeros((3, 6))), t(np.zeros((3, 6))),
-                       params, 1)
+            multi_head(t(np.zeros((3, 6))), t(np.zeros((3, 4))), t(np.zeros((3, 4))),
+                       (params[0], params[3]), 1)
 
     def test_bad_config(self):
         rng = np.random.default_rng(19)
         x = t(np.zeros((3, 6)))
         with pytest.raises(ValueError):
-            multi_head(x, x, x, self._params(rng, 6), 4)
+            multi_head(x, x, x, self._params(rng, 6)[:2], 4)
         x = t(np.zeros((3, 4)))
         with pytest.raises(ValueError):
-            multi_head(x, x, x, self._params(rng, 4), 2, k_sparse=0)
+            multi_head(x, x, x, self._params(rng, 4)[:2], 2, k_sparse=0)
 
 
 def _multi_head_step(q_in, kv_in, weights, coef, n_heads, k_sparse, causal):
     """Output and the gradients of sum(out * coef) for q_in, kv_in and the
     four weights, on a fresh graph."""
     leaves = [t(q_in), t(kv_in)] + [t(w) for w in weights]
-    out = multi_head(leaves[0], leaves[1], leaves[1], leaves[2:], n_heads,
+    q, kv, wq, wk, wv, wo = leaves
+    out = multi_head(q, matmul(kv, wk), matmul(kv, wv), (wq, wo), n_heads,
                      k_sparse=k_sparse, causal=causal)
     backward(tensor_sum(mul(out, Tensor(coef))))
     return out.data, [leaf.grad for leaf in leaves]
@@ -354,5 +360,5 @@ def test_batched_causal_needs_square_scores():
     memory = t(rng.standard_normal((2, 5, 4)))
     for k_sparse in (None, 2):
         with pytest.raises(ShapeError):
-            multi_head(x, memory, memory, [t(np.eye(4)) for _ in range(4)], 2,
+            multi_head(x, memory, memory, [t(np.eye(4)) for _ in range(2)], 2,
                        k_sparse=k_sparse, causal=True)

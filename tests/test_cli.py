@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hydroformer
@@ -176,6 +176,14 @@ _NAN = np.float64(np.nan).tobytes()
 _NEG_INF = np.float64(-np.inf).tobytes()
 
 
+def _resize_ffn(header, d_ffn):
+    """d_ffn set in the config and in every manifest shape (TINY_CONFIG's
+    d_ffn, 16, is the only parameter dimension of that size)."""
+    header["config"]["d_ffn"] = d_ffn
+    for entry in header["params"]:
+        entry["shape"] = [d_ffn if n == 16 else n for n in entry["shape"]]
+
+
 @pytest.mark.parametrize("corrupt, edit_body", [
     (lambda h: h["config"].update(dropout=0.1), bytes),
     (lambda h: h["config"].pop("d_ffn"), bytes),
@@ -194,11 +202,16 @@ _NEG_INF = np.float64(-np.inf).tobytes()
     (lambda h: h["normalizer"]["mean"].__setitem__(0, math.nan), bytes),
     (lambda h: h["normalizer"]["std"].__setitem__(0, -1.0), bytes),
     (lambda h: h["normalizer"]["std"].__setitem__(0, 0.0), bytes),
+    (lambda h: h["config"].update(d_model=2**22), bytes),
+    (lambda h: h["config"].update(d_ffn=10**12), bytes),
+    (lambda h: _resize_ffn(h, 10**12), bytes),
+    (lambda h: h["config"].update(n_encoder_layers=10**6), bytes),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "bool_config_value", "missing_config", "missing_params",
         "missing_normalizer", "trailing_bytes", "normalizer_length", "v1_header",
         "nan_first_param", "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
-        "negative_normalizer_std", "zero_normalizer_std"])
+        "negative_normalizer_std", "zero_normalizer_std", "huge_d_model", "huge_d_ffn",
+        "huge_config_and_manifest", "huge_layer_count"])
 def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, edit_body):
     header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
     header = json.loads(header_line)
@@ -513,6 +526,31 @@ def test_train_without_data_path_is_config_error(tmp_path, capsys):
     rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
     assert rc == cli.EXIT_CONFIG
     _assert_one_line_error(capsys, "config error: data.path is not set")
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"seed = 3\n\xff\n")
+    rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    _assert_one_line_error(capsys, "config error: cannot read config", str(cfgfile))
+    assert not (tmp_path / "run").exists()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(st.binary(max_size=64),
+                     st.lists(_CONFIG_LINES, max_size=8).map("\n".join).map(str.encode)))
+def test_config_bytes_fuzz(tmp_path, capsys, raw):
+    """Arbitrary config bytes without a data.path exit 2 with a one-line
+    message before --out is made: no run trains."""
+    assume(b"data.path" not in raw)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(raw)
+    rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    _assert_one_line_error(capsys, "config error: ")
     assert not (tmp_path / "run").exists()
 
 

@@ -7,7 +7,7 @@ from hydroformer import attention as attention_mod
 from hydroformer import data as D
 from hydroformer import model as model_mod
 from hydroformer import tensor as tensor_mod
-from hydroformer.attention import dense_attention, multi_head
+from hydroformer.attention import multi_head
 from hydroformer.errors import ConfigError, DataError, NumericError, ShapeError
 from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
                                checkpoint_digest, load_checkpoint, save_checkpoint)
@@ -112,8 +112,8 @@ class TestEncoder:
         out = model.encoder_forward(x_emb)
 
         p = model.params
-        weights = tuple(p[f"enc.0.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
-        attn = multi_head(x_emb, x_emb, x_emb, weights, 1)
+        wq, wk, wv, wo = (p[f"enc.0.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+        attn = multi_head(x_emb, matmul(x_emb, wk), matmul(x_emb, wv), (wq, wo), 1)
         h = layer_norm(add(x_emb, attn), p["enc.0.ln1.gamma"], p["enc.0.ln1.beta"])
         ffn = model._mlp("enc.0.ffn", h, "relu")
         expect = layer_norm(add(h, ffn), p["enc.0.ln2.gamma"], p["enc.0.ln2.beta"])
@@ -150,7 +150,7 @@ class TestDecoder:
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
     def test_matches_hand_assembled_layers(self, mode, batch):
         """Teacher-forced decoder_forward equals its layers assembled by hand
-        from multi_head (memory projected inside it), layer_norm and _mlp."""
+        from multi_head (K and V projected by hand), layer_norm and _mlp."""
         cfg = tiny_config(horizon=5, n_heads=2, attention_mode=mode)
         model = TransformerModel(cfg, seed=23)
         rng = np.random.default_rng(23)
@@ -162,16 +162,17 @@ class TestDecoder:
         p = model.params
         y = Tensor(emb.data.swapaxes(0, 1) if batch else emb.data)
         for i in range(cfg.n_decoder_layers):
-            def block(name):
-                return tuple(p[f"dec.{i}.{name}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+            def attention(name, q, kv, k_sparse, causal=False):
+                wq, wk, wv, wo = (p[f"dec.{i}.{name}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+                return multi_head(q, matmul(kv, wk), matmul(kv, wv), (wq, wo), 2, k_sparse,
+                                  causal)
 
             def ln(name, x):
                 return layer_norm(x, p[f"dec.{i}.{name}.gamma"], p[f"dec.{i}.{name}.beta"])
 
-            attn = multi_head(y, y, y, block("self_attn"), 2, cfg.effective_k(5), causal=True)
+            attn = attention("self_attn", y, y, cfg.effective_k(5), causal=True)
             y = ln("ln1", add(y, attn))
-            cross = multi_head(y, memory, memory, block("cross_attn"), 2,
-                               cfg.effective_k(cfg.lookback))
+            cross = attention("cross_attn", y, memory, cfg.effective_k(cfg.lookback))
             y = ln("ln2", add(y, cross))
             y = ln("ln3", add(y, model._mlp(f"dec.{i}.ffn", y, "relu")))
         assert np.max(np.abs(out.data - y.data)) <= 1e-12
@@ -334,6 +335,7 @@ class TestForward:
         ("enc_embed.w", "forward", "enc_embed: linear"),
         ("dec_embed.w", "forward", "dec_embed: linear"),
         ("enc.0.attn.wq", "forward", "enc.0.attn: matmul"),
+        ("enc.0.attn.wk", "forward", "enc.0.attn: matmul"),
         ("enc.0.ffn.w1", "forward", "enc.0.ffn: mlp hidden layer"),
         # wk is read only where cross_kv projects the memory
         ("dec.0.cross_attn.wk", "forward", "dec.0.cross_attn: matmul"),
