@@ -114,17 +114,13 @@ def fill_missing(series: RawSeries):
     return RawSeries(dates=series.dates, values=values), counts
 
 
-def chronological_split(n_rows: int, fractions=(0.70, 0.10, 0.20),
-                        min_segment: int = 1):
-    """Contiguous train -> validation -> test boundaries. Returns
+def chronological_split(n_rows: int, min_segment: int = 1):
+    """Contiguous 70/10/20 train -> validation -> test boundaries. Returns
     (train_end, val_end); test runs to the end of the record."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
-    train_end = int(round(n_rows * fractions[0]))
-    val_end = train_end + int(round(n_rows * fractions[1]))
+    train_end = int(round(n_rows * 0.70))
+    val_end = train_end + int(round(n_rows * 0.10))
     segments = (train_end, val_end - train_end, n_rows - val_end)
-    # zero-fraction segments are allowed to be empty (single-split use)
-    if any(s < min_segment for s, f in zip(segments, fractions) if f > 0):
+    if min(segments) < min_segment:
         raise DataError(f"split segments {segments} too short for minimum {min_segment}")
     return train_end, val_end
 
@@ -183,7 +179,7 @@ class WindowedDataset:
 
 
 def make_windows(series: RawSeries, lookback: int, horizon: int,
-                 fractions=(0.70, 0.10, 0.20), normalizer=None) -> WindowedDataset:
+                 normalizer=None) -> WindowedDataset:
     """Windowed supervised samples with a leakage guard: a sample belongs to
     a split only if every row it touches (window and future targets) lies
     inside that split's row range. Rows are normalized by `normalizer`, such
@@ -194,8 +190,7 @@ def make_windows(series: RawSeries, lookback: int, horizon: int,
     if np.isnan(series.values).any():
         raise DataError("make_windows requires gap-free data; run fill_missing first")
     n_rows = series.values.shape[0]
-    train_end, val_end = chronological_split(n_rows, fractions,
-                                             min_segment=lookback + horizon)
+    train_end, val_end = chronological_split(n_rows, min_segment=lookback + horizon)
     if normalizer is None:
         normalizer = Normalizer.fit(series.values[:train_end])
     normed = normalizer.apply(series.values)

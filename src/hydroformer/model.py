@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -66,26 +66,26 @@ class ModelConfig:
         return self.k_sparse if self.k_sparse is not None else default_k(length)
 
 
-@dataclass
-class PositionalEncoding:
-    """Fixed sinusoid table: even columns sin(pos / 10000^(2i/d)), odd cos."""
-    max_len: int
-    d_model: int
-    table: np.ndarray = field(init=False)
+_POSITIONS = {}     # d_model -> read-only sinusoid table
 
-    def __post_init__(self):
-        pos = np.arange(self.max_len)[:, None].astype(np.float64)
-        i = np.arange(0, self.d_model, 2).astype(np.float64)
-        angle = pos / np.power(10000.0, i / self.d_model)
-        table = np.zeros((self.max_len, self.d_model))
+
+def positions(length: int, d_model: int) -> np.ndarray:
+    """The first `length` rows of the fixed sinusoid table, even columns
+    sin(pos / 10000^(2i/d)), odd cos: a read-only view of one table per
+    width, rebuilt at `length` rows when a call needs more than it holds.
+    Each row depends on its position only, so these rows equal the prefix
+    of any longer table bit for bit."""
+    table = _POSITIONS.get(d_model)
+    if table is None or table.shape[0] < length:
+        pos = np.arange(length)[:, None].astype(np.float64)
+        i = np.arange(0, d_model, 2).astype(np.float64)
+        angle = pos / np.power(10000.0, i / d_model)
+        table = np.zeros((length, d_model))
         table[:, 0::2] = np.sin(angle)
-        table[:, 1::2] = np.cos(angle[:, : table[:, 1::2].shape[1]])
-        self.table = table
-
-    def slice(self, length: int) -> np.ndarray:
-        if length > self.max_len:
-            raise ShapeError(f"sequence length {length} exceeds positional table {self.max_len}")
-        return self.table[:length]
+        table[:, 1::2] = np.cos(angle[:, : d_model // 2])
+        table.flags.writeable = False
+        _POSITIONS[d_model] = table
+    return table[:length]
 
 
 def _layout(c: ModelConfig):
@@ -150,11 +150,12 @@ def _named(method):
 class TransformerModel:
     """Parameter container plus the forward / autoregressive-predict paths.
 
-    Every parameter is a view of one float64 vector, `flat`, in checkpoint
-    manifest (sorted-name) order, as is the name->Tensor map `params`; so
-    parameters change only in place. Shapes are a pure function of the
-    config. Seed None leaves the vector zero with no RNG draw, for callers
-    that overwrite it (load_checkpoint).
+    A model is its config and one float64 vector, `flat`, of which every
+    parameter is a view in checkpoint manifest (sorted-name) order, as is
+    the name->Tensor map `params`; so parameters change only in place.
+    Shapes are a pure function of the config, and none depends on lookback
+    or horizon. Seed None leaves the vector zero with no RNG draw, for
+    callers that overwrite it (load_checkpoint).
 
     The forward pieces take one sample (L x n_features window, H x 1 decoder
     input) or a batch of them stacked on a leading axis.
@@ -162,7 +163,6 @@ class TransformerModel:
 
     def __init__(self, config: ModelConfig, seed: int | None = 0):
         self.config = config
-        self.pe = PositionalEncoding(max(config.lookback, config.horizon), config.d_model)
         shapes, draws = _layout(config)
         names = sorted(shapes)
         sizes = [math.prod(shapes[n]) for n in names]
@@ -215,13 +215,14 @@ class TransformerModel:
                           self.config.effective_k(k.data.shape[-2]), causal)
 
     def embed_encoder(self, window) -> Tensor:
-        """Window rows @ W plus the positional table, which broadcasts over
+        """Window rows @ W plus their positional rows, which broadcast over
         a batch."""
         x = window if isinstance(window, Tensor) else Tensor(window)
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_features:
             raise ShapeError(f"window shape {x.data.shape}: need L x n_features "
                              f"(n_features {self.config.n_features}), optionally batched")
-        return self._linear("enc_embed", x, Tensor(self.pe.slice(x.data.shape[-2])))
+        pe = positions(x.data.shape[-2], self.config.d_model)
+        return self._linear("enc_embed", x, Tensor(pe))
 
     def embed_decoder(self, decoder_in) -> Tensor:
         """H x 1 or B x H x 1 target values to embedded rows, handed to
@@ -231,7 +232,8 @@ class TransformerModel:
         y = decoder_in if isinstance(decoder_in, Tensor) else Tensor(decoder_in)
         if y.data.ndim not in (2, 3) or y.data.shape[-1] != 1:
             raise ShapeError(f"decoder input must be Hx1 or BxHx1, got {y.data.shape}")
-        emb = self._linear("dec_embed", y, Tensor(self.pe.slice(y.data.shape[-2])))
+        pe = positions(y.data.shape[-2], self.config.d_model)
+        emb = self._linear("dec_embed", y, Tensor(pe))
         return swap_leading(emb) if emb.data.ndim == 3 else emb
 
     def encoder_forward(self, x_emb: Tensor) -> Tensor:
@@ -406,7 +408,8 @@ def load_checkpoint(path):
     """Returns (model, normalizer); normalizer may be None. A malformed file,
     or one whose parameters hold NaN or inf, raises DataError. The header's
     config is checked against its manifest and the body's size before the
-    model is built, so an edited shape allocates nothing."""
+    model is built, so an edited shape allocates nothing; the build
+    allocates the parameter vector only."""
     try:
         f = open(path, "rb")
     except OSError as e:

@@ -53,10 +53,10 @@ class Adam:
     order by the views of the name->Tensor map `params` (a model's `flat`
     and `params`); each parameter's .grad views Adam's `grad` the same way."""
 
-    def __init__(self, params: dict, flat: np.ndarray, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, flat: np.ndarray):
         self.params, self.flat = params, flat
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
@@ -72,17 +72,17 @@ class Adam:
             raise NumericError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * g
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * g * g
         step = self.m / bc1             # two temporaries, updated in place
         step *= lr
         denom = self.v / bc2
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         step /= denom
         self.flat -= step
 
@@ -247,7 +247,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
         curve.epochs.append((train_loss, val_loss))
         stop = stopper.update(epoch, val_loss)
         if stopper.best_epoch == epoch:
-            best_state = model.flat.copy()
+            np.copyto(best_state, model.flat)
         if stop:
             break
     curve.best_epoch = stopper.best_epoch

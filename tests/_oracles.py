@@ -138,6 +138,18 @@ def ref_mlp(x, w1, b1, w2, b2, kind):
     return linear(activation(linear(x, w1, b1), kind), w2, b2)
 
 
+def ref_positional_table(max_len, d_model):
+    """The sinusoid table of max_len rows: even columns sin(pos / 10000^(2i/d)),
+    odd cos."""
+    pos = np.arange(max_len)[:, None].astype(np.float64)
+    i = np.arange(0, d_model, 2).astype(np.float64)
+    angle = pos / np.power(10000.0, i / d_model)
+    table = np.zeros((max_len, d_model))
+    table[:, 0::2] = np.sin(angle)
+    table[:, 1::2] = np.cos(angle[:, : table[:, 1::2].shape[1]])
+    return table
+
+
 def ref_rollout(model, window, horizon):
     """A model's greedy rollout for one L x F window, one step at a time with
     the decoder input rebuilt from a list of floats (H x 1). Unlike the

@@ -20,6 +20,8 @@ from hydroformer.errors import ConfigError, DataError
 from hydroformer.model import ModelConfig, TransformerModel, load_checkpoint, save_checkpoint
 from hydroformer.training import TrainConfig
 
+from _memory import traced
+
 
 TINY_CONFIG = """
 # desk-size run for fast tests
@@ -253,6 +255,31 @@ def test_checkpoint_with_other_feature_count_is_data_error(trained_run, tmp_path
     argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
     assert cli.main(argv) == cli.EXIT_DATA
     assert "5 features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lookback", [10**6, 10**9])
+@pytest.mark.parametrize("command, extra, message", [
+    ("predict", [], "need at least {} rows"),
+    ("evaluate", ["--out", "OUT"], "too short for minimum {}"),
+    ("explain", ["--global", "--sample", "1", "--permutations", "2", "--out", "OUT"],
+     "too short for minimum {}"),
+], ids=["predict", "evaluate", "explain"])
+def test_checkpoint_with_edited_lookback_is_data_error(trained_run, tmp_path, capsys,
+                                                       command, extra, message, lookback):
+    """No parameter depends on lookback, so the header passes the checkpoint
+    checks; the data checks refuse it, and no allocation grows with it."""
+    header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["config"]["lookback"] = lookback
+    ckpt = tmp_path / "long.bin"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(trained_run["data"])]
+    argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+    rc, _, peak = traced(lambda: cli.main(argv))
+    assert rc == cli.EXIT_DATA
+    assert peak < 16 << 20
+    minimum = lookback if command == "predict" else lookback + header["config"]["horizon"]
+    _assert_one_line_error(capsys, "data error: ", message.format(minimum))
 
 
 def test_train_replays_its_resolved_config(trained_run, tmp_path, capsys):

@@ -107,10 +107,6 @@ class TestSplit:
     def test_boundaries(self):
         assert D.chronological_split(100) == (70, 80)
 
-    def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            D.chronological_split(100, (0.5, 0.2, 0.2))
-
     def test_too_short(self):
         with pytest.raises(DataError):
             D.chronological_split(10, min_segment=31)
@@ -151,13 +147,6 @@ class TestNormalizer:
 
 
 class TestMakeWindows:
-    def test_single_split_count(self):
-        series = D.synth_generate(seed=6, length=400)
-        series5 = D.RawSeries(dates=series.dates[:5], values=series.values[:5])
-        ds = D.make_windows(series5, lookback=2, horizon=1, fractions=(1.0, 0.0, 0.0))
-        assert len(ds.split("train").windows) == 3
-        assert len(ds.split("val").windows) == 0
-
     def test_window_count_formula(self):
         series = D.synth_generate(seed=7, length=500)
         ds = D.make_windows(series, lookback=10, horizon=3)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,14 @@ from hydroformer import data as D
 from hydroformer import model as model_mod
 from hydroformer import tensor as tensor_mod
 from hydroformer.attention import multi_head
-from hydroformer.errors import ConfigError, DataError, NumericError, ShapeError
-from hydroformer.model import (ModelConfig, PositionalEncoding, TransformerModel,
-                               checkpoint_digest, load_checkpoint, save_checkpoint)
+from hydroformer.errors import ConfigError, DataError, NumericError
+from hydroformer.model import (ModelConfig, TransformerModel, checkpoint_digest,
+                               load_checkpoint, positions, save_checkpoint)
 from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse
 from hydroformer.training import TrainConfig, fit
 
 from _memory import traced
-from _oracles import ref_layer_norm, ref_rollout
+from _oracles import ref_layer_norm, ref_positional_table, ref_rollout
 
 
 def tiny_config(**kw):
@@ -50,22 +52,35 @@ class TestModelConfig:
 
 class TestPositionalEncoding:
     def test_bounded(self):
-        pe = PositionalEncoding(max_len=50, d_model=16)
-        assert np.all(pe.table >= -1.0) and np.all(pe.table <= 1.0)
+        table = positions(50, 16)
+        assert np.all(table >= -1.0) and np.all(table <= 1.0)
 
     def test_position_zero(self):
-        pe = PositionalEncoding(max_len=4, d_model=6)
-        assert np.array_equal(pe.table[0], [0, 1, 0, 1, 0, 1])
+        assert np.array_equal(positions(4, 6)[0], [0, 1, 0, 1, 0, 1])
 
     def test_deterministic(self):
-        a = PositionalEncoding(10, 8).table
-        b = PositionalEncoding(10, 8).table
-        assert np.array_equal(a, b)
+        a = positions(10, 8).copy()
+        with mock.patch.dict(model_mod._POSITIONS, clear=True):
+            assert np.array_equal(positions(10, 8), a)
 
-    def test_slice_guard(self):
-        pe = PositionalEncoding(4, 8)
-        with pytest.raises(ShapeError):
-            pe.slice(5)
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 600), extra=st.integers(0, 600),
+           d=st.integers(1, 70) | st.sampled_from([255, 256, 512]), longer_first=st.booleans())
+    def test_prefix_of_any_longer_table(self, n, extra, d, longer_first):
+        """positions(n, d) is ref_positional_table(m, d)[:n] bit for bit for
+        any m >= n, whichever length the cache saw first; no caller can
+        write into it."""
+        m = n + extra
+        ref = ref_positional_table(m, d)
+        with mock.patch.dict(model_mod._POSITIONS, clear=True):
+            order = (m, n) if longer_first else (n, m)
+            got = {length: positions(length, d) for length in order}
+        for length, rows in got.items():
+            assert rows.shape == (length, d)
+            assert np.array_equal(rows, ref[:length])
+            assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            got[m][...] = 0.0
 
 
 class TestEmbed:
@@ -74,7 +89,7 @@ class TestEmbed:
         model.params["enc_embed.w"].data[...] = 0.0
         window = np.ones((6, 19))
         out = model.embed_encoder(window)
-        assert np.array_equal(out.data, model.pe.slice(6))
+        assert np.array_equal(out.data, positions(6, 8))
 
     def test_shapes(self):
         cfg = tiny_config()
@@ -452,15 +467,15 @@ class TestPredict:
 
     @pytest.mark.parametrize("mode", ["dense", "sparse"])
     def test_horizon_past_positional_table(self, mode):
-        """The table has max(lookback, horizon) = 6 rows. Step 7 computes its
-        newest row alone (sparse k = ceil(t/4) last changed at step 5), and
-        that row still needs table row 6."""
+        """A rollout longer than max(lookback, horizon) = 6 rows gets its
+        positional rows on demand. Step 7 computes its newest row alone
+        (sparse k = ceil(t/4) last changed at step 5), and that row needs
+        positional row 6."""
         cfg = tiny_config(attention_mode=mode)
         model = TransformerModel(cfg, seed=15)
         window = rand_window(np.random.default_rng(15), cfg)
-        assert model.predict(window, 6).shape == (6, 1)
-        with pytest.raises(ShapeError, match="positional table"):
-            model.predict(window, 7)
+        np.testing.assert_allclose(model.predict(window, 9), ref_rollout(model, window, 9),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode,k,rows", [("sparse", None, [11, 7]), ("dense", None, [7, 7]),
                                              ("sparse", 3, [7, 7])])
