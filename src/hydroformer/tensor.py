@@ -84,11 +84,11 @@ class Tensor:
 
 
 def _check_finite(arr, opname):
-    """NumericError unless every element of arr is finite. A finite sum rules
-    out NaN and inf in one pass; only a non-finite sum, which finite values
-    can also give by overflowing (numpy then warns), is checked element by
-    element."""
-    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
+    """NumericError unless every element of arr is finite. A finite sum of
+    squares, one BLAS dot, rules out NaN and inf in one pass; only a
+    non-finite one, which finite values above about 1e154 can also give by
+    overflowing (a dot does not warn), is checked element by element."""
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
         raise NumericError(f"{opname} produced non-finite values")
 
 
@@ -132,12 +132,21 @@ def _make(data, parents, backward_fn, opname):
 # ---------------------------------------------------------------------------
 # ops
 
+def _gemm(x: np.ndarray, w: np.ndarray):
+    """x @ w for x (..., m, k) and w (k, n) as one GEMM over the rows of
+    every batch item, and x as rows (x2) for backward. A 2-D x is its own
+    rows, so it skips both reshapes."""
+    if x.ndim == 2:
+        return x @ w, x
+    x2 = x.reshape(-1, w.shape[0])
+    return (x2 @ w).reshape(x.shape[:-1] + w.shape[1:]), x2
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (k, n): the rows of every batch item in one GEMM."""
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    a2 = a.data.reshape(-1, b.data.shape[0])
-    out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+    out, a2 = _gemm(a.data, b.data)
 
     def bwd(g):
         g2 = g.reshape(a2.shape[0], -1)
@@ -153,8 +162,9 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     out_shape = x.shape[:-1] + w.shape[1:]
     if out_shape[len(out_shape) - b.ndim:] != b.shape:
         raise ShapeError(f"linear: {out_shape} + bias {b.shape}")
-    x2 = x.reshape(-1, w.shape[0])
-    return (x2 @ w).reshape(out_shape) + b, x2
+    out, x2 = _gemm(x, w)
+    out += b
+    return out, x2
 
 
 def _affine_grads(g: np.ndarray, x: np.ndarray, x2: np.ndarray, w: np.ndarray,
@@ -333,7 +343,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, c: float = 1.0
     shared by the batch; None keeps all) and, with k_sparse, only those >=
     the k_sparse-th largest of them (ties kept). Row block h of the weights
     then mixes column block h of v (..., Lk, d); the blocks side by side
-    give (..., Lq, d).
+    give (..., Lq, d). Mask, top-k and softmax are one kernel call,
+    kernels.masked_softmax_forward.
 
     Bit for bit the chain head_scores -> kernels.topk_keep -> masked_softmax
     -> head mix, in its output and every gradient. The scores are checked
@@ -346,18 +357,15 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, c: float = 1.0
         raise ValueError(f"attention_core: k_sparse must be >= 1, got {k_sparse}")
     if cols == 0:
         raise ShapeError(f"attention_core: no keys, {k.data.shape}")
-    if allowed is None:
-        allowed = np.ones((rows, cols), dtype=bool)
-    elif allowed.shape != (rows, cols):
-        raise ShapeError(f"attention_core: mask {allowed.shape} for scores {s.shape}")
-    elif not allowed.any(axis=-1).all():
-        raise ValueError("attention_core: a row of the mask allows no entry")
-    if k_sparse is not None:
-        allowed = kernels.topk_keep(s, k_sparse, allowed)
+    if allowed is not None:
+        if allowed.shape != (rows, cols):
+            raise ShapeError(f"attention_core: mask {allowed.shape} for scores {s.shape}")
+        if not allowed.any(axis=-1).all():
+            raise ValueError("attention_core: a row of the mask allows no entry")
     if not _same_batch(s, v.data) or v.data.shape[-2] != cols or v.data.shape[-1] % n_heads:
         raise ShapeError(f"attention_core: values {v.data.shape} for scores {s.shape}, "
                          f"{n_heads} heads")
-    w = kernels.masked_softmax_forward(s, allowed)
+    w = kernels.masked_softmax_forward(s, allowed, k_sparse)
     wh = w.reshape(w.shape[:-2] + (n_heads, -1, cols))
     vh = _split_heads(v.data, n_heads)
 
@@ -418,12 +426,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None =
             raise ShapeError(f"layer_norm: residual {residual.data.shape} vs {x.data.shape}")
         inp, parents = x.data + residual.data, (x, gamma, beta, residual)
     # np.mean's and np.var's sums and divisions with the row centred once,
-    # so mean, variance and x-hat equal theirs bit for bit
-    centred = inp - inp.sum(axis=-1, keepdims=True) / d
-    var = np.square(centred).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out = gamma.data * xhat + beta.data
+    # so mean, variance and x-hat equal theirs bit for bit; x-hat and the
+    # output are finished in place
+    xhat = inp - np.add.reduce(inp, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    out = gamma.data * xhat
+    out += beta.data
 
     def bwd(g):
         dxhat = g * gamma.data

@@ -6,8 +6,9 @@ graph each; a mini-batch's gradients accumulate across its sub-batches. The
 sub-batch size keeps one graph's tape under TAPE_BUDGET_BYTES, with at least
 one sample per graph: a desk-scale batch of 32 runs as 2 graphs of 16. The
 budget does not bound a paper-scale step: one sample's tape is about 3.6 MB,
-so it runs alone, and the step peaks in Adam's update, at two temporaries
-the size of model.flat (90.2 MiB). Passes that record no tape
+so it runs alone. Adam updates model.flat (90.2 MiB at paper scale) in
+blocks of Adam.BLOCK elements, so its temporaries stay at two blocks
+whatever the model's size. Passes that record no tape
 (the validation loss, evaluation rollouts) run in chunks of
 forward_batch_size windows, sized from FORWARD_BUDGET_BYTES."""
 
@@ -54,6 +55,9 @@ class Adam:
     and `params`); each parameter's .grad views Adam's `grad` the same way."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    # elements per slice of the elementwise update, which bounds its two
+    # temporaries to this many elements each, whatever the model's size
+    BLOCK = 1 << 16
 
     def __init__(self, params: dict, flat: np.ndarray):
         self.params, self.flat = params, flat
@@ -74,17 +78,20 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.BETA1 ** t
         bc2 = 1.0 - self.BETA2 ** t
-        self.m *= self.BETA1
-        self.m += (1.0 - self.BETA1) * g
-        self.v *= self.BETA2
-        self.v += (1.0 - self.BETA2) * g * g
-        step = self.m / bc1             # two temporaries, updated in place
-        step *= lr
-        denom = self.v / bc2
-        np.sqrt(denom, out=denom)
-        denom += self.EPS
-        step /= denom
-        self.flat -= step
+        for i in range(0, g.size, self.BLOCK):
+            b = slice(i, i + self.BLOCK)
+            gb, m, v = g[b], self.m[b], self.v[b]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * gb
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * gb * gb
+            step = m / bc1              # two temporaries, updated in place
+            step *= lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            step /= denom
+            self.flat[b] -= step
 
 
 @dataclass

@@ -713,7 +713,7 @@ class TestFiniteGuard:
             mul(big, big)
 
     def test_finite_values_with_overflowing_sum_pass(self):
-        with np.errstate(over="ignore"):     # the guard's sum overflows
+        with np.errstate(over="ignore"):     # the guard's sum of squares overflows
             assert np.array_equal(scale(t([1e308, 1e308]), 1.0).data, [1e308, 1e308])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             scale(t([1e308]), 10.0)
