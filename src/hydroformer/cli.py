@@ -9,24 +9,29 @@ key and can be passed back to train --config to repeat the run.
 import argparse
 import datetime
 import sys
+import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import data as data_mod
 from . import explain as explain_mod
+from .attention import attend, default_k
 from .errors import ConfigError, DataError, NumericError
 from .metrics import DegenerateDenominatorError
 from .model import (ModelConfig, TransformerModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
+from .tensor import Tensor, backward, tensor_sum
 from .training import TrainConfig, check_leads, check_split, evaluate_split, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# untimed attention passes before each bench row's timed repeats
+BENCH_WARMUP = 2
 
 
 @dataclass
@@ -231,14 +236,12 @@ def cmd_explain(args) -> int:
         explain_mod.check_exact_cap(model.config.n_features, args.allow_large_exact)
     out = _outdir(args.out)
     explanations = []
-    raw_rows = []
     for i, vf in zip(indices, vfs):
         if args.estimator == "exact":
             e = explain_mod.exact_shapley(vf, allow_large=args.allow_large_exact)
         else:
             e = explain_mod.sampled_shapley(vf, m=args.permutations, seed=args.seed + i)
         explanations.append(e)
-        raw_rows.append(normalizer.invert(test.windows[i])[-1])
 
     if args.instance is not None:
         text = explain_mod.force_report_to_text(explanations[0])
@@ -247,8 +250,8 @@ def cmd_explain(args) -> int:
     else:
         gi = explain_mod.global_importance(explanations)
         (out / "global_importance.txt").write_text(gi.to_text(), encoding="utf-8")
-        rows = explain_mod.beeswarm_export(explanations, np.array(raw_rows))
-        (out / "beeswarm.txt").write_text(explain_mod.beeswarm_to_text(rows),
+        raw_rows = [normalizer.invert(test.windows[i])[-1] for i in indices]
+        (out / "beeswarm.txt").write_text(explain_mod.beeswarm_to_text(explanations, raw_rows),
                                           encoding="utf-8")
         print(gi.to_text(), end="")
     permutations = f"permutations = {args.permutations}\n" if args.estimator == "sampled" else ""
@@ -258,13 +261,41 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
+def _attention_pass(q, k, v, k_sparse):
+    """The output of one attend forward on fresh leaves, after its backward."""
+    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    out = attend(qt, kt, vt, k_sparse)
+    backward(tensor_sum(out))
+    return out.data
+
+
 def cmd_bench(args) -> int:
-    rows = bench_mod.bench_attention(args.lengths, args.ks, d_k=args.d_k,
-                                     repeats=args.repeats, seed=args.seed)
-    text = bench_mod.rows_to_text(rows)
+    """Dense attention and each --ks sparsity, forward + backward, timed after
+    BENCH_WARMUP passes: median and min over --repeats. A sparse row with
+    k >= L is checked against dense (pass/FAIL); no asymptotic claim is made."""
+    lines = ["length\tk\tmode\tmedian_s\tmin_s\tequal_to_dense"]
+    for length in args.lengths:
+        rng = np.random.default_rng(args.seed)
+        q, k, v = (rng.standard_normal((length, args.d_k)) for _ in range(3))
+        dense_out = _attention_pass(q, k, v, None)
+        named = {"L": length, "L/4": default_k(length)}
+        for k_sparse in [None] + [named.get(spec, spec) for spec in args.ks]:
+            for _ in range(BENCH_WARMUP):
+                _attention_pass(q, k, v, k_sparse)
+            times = []
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                out = _attention_pass(q, k, v, k_sparse)
+                times.append(time.perf_counter() - t0)
+            equal = ""
+            if k_sparse is not None and k_sparse >= length:
+                equal = "pass" if np.max(np.abs(out - dense_out)) <= 1e-12 else "FAIL"
+            mode = "dense" if k_sparse is None else "sparse"
+            lines.append(f"{length}\t{'' if k_sparse is None else k_sparse}\t{mode}"
+                         f"\t{np.median(times):.6g}\t{min(times):.6g}\t{equal}")
+    text = "\n".join(lines) + "\n"
     if args.out:
-        out = _outdir(args.out)
-        (out / "bench.txt").write_text(text, encoding="utf-8")
+        (_outdir(args.out) / "bench.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 
@@ -293,7 +324,7 @@ def _positive_ints(text):
 
 
 def _bench_ks(text):
-    """Comma list of k values: positive integers, L or L/4."""
+    """Comma list of k values: positive integers, L or L/4 (cmd_bench resolves them)."""
     return [x.strip() if x.strip() in ("L", "L/4") else _positive_int(x)
             for x in text.split(",")]
 

@@ -70,8 +70,8 @@ class Explanation:
     phis: np.ndarray                  # one contribution per feature
     fx: float                         # model output at the instance
     estimator: str                    # "exact" or "sampled"
+    std_errors: np.ndarray            # per feature; zeros for exact values
     n_permutations: int | None = None
-    std_errors: np.ndarray | None = None
     feature_names: tuple = FEATURE_COLUMNS
 
 
@@ -99,7 +99,8 @@ def exact_shapley(vf: ValueFunction, allow_large: bool = False) -> Explanation:
         phis[i] = np.sum(weights[sizes[without_i]]
                          * (values[without_i | (1 << i)] - values[without_i]))
     return Explanation(phi0=float(values[0]), phis=phis, fx=float(values[-1]),
-                       estimator="exact", feature_names=vf.feature_names)
+                       estimator="exact", std_errors=np.zeros(n),
+                       feature_names=vf.feature_names)
 
 
 def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
@@ -187,57 +188,36 @@ def global_importance(explanations) -> GlobalImportance:
                             percentages=pct, group_shares=groups)
 
 
-def beeswarm_export(explanations, raw_rows) -> list:
-    """Rows (feature, instance id, raw feature value, phi), feature blocks
-    ordered by descending mean |phi|; enough to render a beeswarm plot."""
-    explanations = list(explanations)
+def beeswarm_to_text(explanations: list, raw_rows) -> str:
+    """One row (feature, instance id, raw feature value, phi, se) per feature
+    and instance, feature blocks ordered by descending mean |phi|; enough to
+    render a beeswarm plot. raw_rows holds one row of raw values per
+    explanation."""
     raw_rows = np.atleast_2d(np.asarray(raw_rows, dtype=np.float64))
     if len(explanations) != raw_rows.shape[0]:
         raise ValueError(f"{len(explanations)} explanations vs {raw_rows.shape[0]} value rows")
     names = explanations[0].feature_names
-    mean_abs = np.abs(np.stack([e.phis for e in explanations])).mean(axis=0)
-    rows = []
-    for j in np.argsort(-mean_abs):
-        for i, e in enumerate(explanations):
-            rows.append((names[j], i, float(raw_rows[i, j]), float(e.phis[j])))
-    return rows
-
-
-def beeswarm_to_text(rows) -> str:
-    lines = ["feature\tinstance\traw_value\tphi"]
-    for feat, inst, raw, phi in rows:
-        lines.append(f"{feat}\t{inst}\t{raw!r}\t{phi!r}")
+    phis = np.stack([e.phis for e in explanations])
+    ses = np.stack([e.std_errors for e in explanations])
+    lines = ["feature\tinstance\traw_value\tphi\tse"]
+    for j in np.argsort(-np.abs(phis).mean(axis=0)):
+        for i in range(len(explanations)):
+            lines.append(f"{names[j]}\t{i}\t{float(raw_rows[i, j])!r}"
+                         f"\t{float(phis[i, j])!r}\t{float(ses[i, j])!r}")
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ForceEntry:
-    feature: str
-    phi: float
-    cumulative: float
-    positive: bool
-
-
-def force_report(explanation: Explanation) -> list:
-    """Ordered walk from the base value to the prediction: features sorted by
-    |phi| descending, each entry tagged by sign with the running total."""
-    order = np.argsort(-np.abs(explanation.phis))
-    entries = []
-    cum = explanation.phi0
-    for j in order:
-        phi = float(explanation.phis[j])
-        cum += phi
-        entries.append(ForceEntry(feature=explanation.feature_names[j], phi=phi,
-                                  cumulative=cum, positive=phi >= 0))
-    return entries
-
-
 def force_report_to_text(explanation: Explanation) -> str:
-    lines = [f"base_value\t{explanation.phi0!r}",
-             f"prediction\t{explanation.fx!r}",
-             f"estimator\t{explanation.estimator}",
-             "feature\tphi\tcumulative\tsign"]
-    for e in force_report(explanation):
-        lines.append(f"{e.feature}\t{e.phi!r}\t{e.cumulative!r}"
-                     f"\t{'+' if e.positive else '-'}")
+    """Ordered walk from the base value to the prediction: features sorted by
+    |phi| descending, each with its standard error, the running total and
+    its sign."""
+    e = explanation
+    lines = [f"base_value\t{e.phi0!r}", f"prediction\t{e.fx!r}",
+             f"estimator\t{e.estimator}", "feature\tphi\tse\tcumulative\tsign"]
+    cum = e.phi0
+    for j in np.argsort(-np.abs(e.phis)):
+        phi = float(e.phis[j])
+        cum += phi
+        lines.append(f"{e.feature_names[j]}\t{phi!r}\t{float(e.std_errors[j])!r}"
+                     f"\t{cum!r}\t{'+' if phi >= 0 else '-'}")
     return "\n".join(lines) + "\n"

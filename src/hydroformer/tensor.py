@@ -306,11 +306,11 @@ def _same_batch(a: np.ndarray, b: np.ndarray) -> bool:
     return a.ndim >= 2 and b.ndim == a.ndim and a.shape[:-2] == b.shape[:-2]
 
 
-def _scores(q: np.ndarray, k: np.ndarray, n_heads: int, c: float):
+def _scores(q: np.ndarray, k: np.ndarray, n_heads: int, c: float, op: str):
     """c * Q_h K_h^T of every head as row blocks, and q and k split into
-    heads, which backward keeps."""
+    heads, which backward keeps. A shape error names the calling op."""
     if not _same_batch(q, k) or q.shape[-1] != k.shape[-1] or q.shape[-1] % n_heads:
-        raise ShapeError(f"head_scores: shapes {q.shape}, {k.shape}, {n_heads} heads")
+        raise ShapeError(f"{op}: shapes {q.shape}, {k.shape}, {n_heads} heads")
     qh, kh = _split_heads(q, n_heads), _split_heads(k, n_heads)
     s = np.matmul(qh, kh.swapaxes(-1, -2)).reshape(q.shape[:-2] + (-1, k.shape[-2])) * c
     return s, qh, kh
@@ -327,7 +327,7 @@ def head_scores(q: Tensor, k: Tensor, n_heads: int, c: float = 1.0) -> Tensor:
     stacked as row blocks: (..., n_heads * Lq, Lk) for q (..., Lq, d),
     k (..., Lk, d). c multiplies the product, after the GEMM."""
     c = float(c)
-    out, qh, kh = _scores(q.data, k.data, n_heads, c)
+    out, qh, kh = _scores(q.data, k.data, n_heads, c, "head_scores")
 
     def bwd(g):
         return _scores_grads(g, qh, kh, c)
@@ -350,7 +350,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, c: float = 1.0
     -> head mix, in its output and every gradient. The scores are checked
     for finite values as well as the output."""
     c = float(c)
-    s, qh, kh = _scores(q.data, k.data, n_heads, c)
+    s, qh, kh = _scores(q.data, k.data, n_heads, c, "attention_core")
     _check_finite(s, "attention scores")
     rows, cols = s.shape[-2:]
     if k_sparse is not None and k_sparse < 1:

@@ -213,7 +213,8 @@ def _split_loss(model, samples, target_index) -> float:
 def fit(model: TransformerModel, dataset: WindowedDataset,
         cfg: TrainConfig) -> LossCurve:
     """Train in place; returns the loss curve. Weights from the epoch with
-    the best validation loss are restored on exit."""
+    the best validation loss are restored on exit. Every parameter's .grad
+    is None on return, as it is if training raises."""
     train = dataset.split("train")
     val = dataset.split("val")
     if len(train.windows) == 0 or len(val.windows) == 0:
@@ -223,42 +224,48 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                           f"{model.config.horizon}")
 
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(model.params, model.flat)
     stopper = EarlyStopper(cfg.early_stop_patience, cfg.min_delta)
     curve = LossCurve()
     best_state = model.flat.copy()
 
     n = len(train.windows)
     sub = sub_batch_size(model.config)
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n) if cfg.shuffle_train else np.arange(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start: start + cfg.batch_size]
-            optimizer.grad.fill(0.0)
-            for idx in _sub_batches(batch, sub):
-                try:
-                    w, dec_in, tgt = _batch(train, idx, TARGET_INDEX)
-                    # mean over the sub-batch, weighted to a mean over the batch
-                    loss = mse(model.forward(w, dec_in), Tensor(tgt))
-                    backward(loss * (len(idx) / len(batch)))
-                except NumericError as e:
-                    raise NumericError(f"epoch {epoch}, samples {idx.tolist()}: {e}") from e
-                epoch_loss += float(loss.data) * len(idx)
-            optimizer.step(cfg.learning_rate)
-        train_loss = epoch_loss / n
-        val_loss = _split_loss(model, val, TARGET_INDEX)
-        if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-            raise NumericError(f"non-finite loss at epoch {epoch}: "
-                               f"train={train_loss}, val={val_loss}")
-        curve.epochs.append((train_loss, val_loss))
-        stop = stopper.update(epoch, val_loss)
-        if stopper.best_epoch == epoch:
-            np.copyto(best_state, model.flat)
-        if stop:
-            break
-    curve.best_epoch = stopper.best_epoch
-    model.flat[:] = best_state
+    optimizer = Adam(model.params, model.flat)
+    try:
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(n) if cfg.shuffle_train else np.arange(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start: start + cfg.batch_size]
+                optimizer.grad.fill(0.0)
+                for idx in _sub_batches(batch, sub):
+                    try:
+                        w, dec_in, tgt = _batch(train, idx, TARGET_INDEX)
+                        # mean over the sub-batch, weighted to a mean over the batch
+                        loss = mse(model.forward(w, dec_in), Tensor(tgt))
+                        backward(loss * (len(idx) / len(batch)))
+                    except NumericError as e:
+                        raise NumericError(f"epoch {epoch}, samples {idx.tolist()}: {e}") from e
+                    epoch_loss += float(loss.data) * len(idx)
+                optimizer.step(cfg.learning_rate)
+            train_loss = epoch_loss / n
+            val_loss = _split_loss(model, val, TARGET_INDEX)
+            if not np.isfinite(train_loss) or not np.isfinite(val_loss):
+                raise NumericError(f"non-finite loss at epoch {epoch}: "
+                                   f"train={train_loss}, val={val_loss}")
+            curve.epochs.append((train_loss, val_loss))
+            stop = stopper.update(epoch, val_loss)
+            if stopper.best_epoch == epoch:
+                np.copyto(best_state, model.flat)
+            if stop:
+                break
+        curve.best_epoch = stopper.best_epoch
+        model.flat[:] = best_state
+    finally:
+        # the .grad views would keep Adam's gradient vector alive and let a
+        # later backward add onto the last batch's gradient
+        for p in model.params.values():
+            p.grad = None
     return curve
 
 

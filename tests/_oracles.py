@@ -275,7 +275,7 @@ def ref_exact_shapley(vf, allow_large: bool = False) -> Explanation:
             phis[i] += w * (_ref_masked_value(vf, subset | bit, cache) - v_s)
     return Explanation(phi0=_ref_masked_value(vf, 0, cache), phis=phis,
                        fx=_ref_masked_value(vf, full, cache), estimator="exact",
-                       feature_names=vf.feature_names)
+                       std_errors=np.zeros(n), feature_names=vf.feature_names)
 
 
 def ref_sampled_shapley(vf, m: int, seed: int = 0) -> Explanation:

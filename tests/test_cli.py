@@ -316,7 +316,7 @@ def test_other_data_file_is_normalized_by_the_checkpoint(trained_run, tmp_path, 
     bees = (tmp_path / "x" / "beeswarm.txt").read_text().splitlines()[1:]
     raw = np.full((3, len(D.FEATURE_COLUMNS)), np.nan)
     for line in bees:
-        feature, instance, value, _ = line.split("\t")
+        feature, instance, value = line.split("\t")[:3]
         raw[int(instance), D.FEATURE_COLUMNS.index(feature)] = float(value)
     for row in raw:  # each instance's anchor row is a row of the file
         assert (np.abs(series.values - row) <= 1e-9).all(axis=1).any()
@@ -390,6 +390,7 @@ class TestExplainCommand:
         assert gi.startswith("feature\t")
         assert "group:meteorological" in gi
         bees = (out / "beeswarm.txt").read_text().splitlines()
+        assert bees[0] == "feature\tinstance\traw_value\tphi\tse"
         assert len(bees) == 1 + 2 * 19
         assert (out / "estimator.txt").read_text() == \
             "estimator = sampled\npermutations = 3\nlead = 1\nseed = 0\n"
@@ -407,6 +408,24 @@ class TestExplainCommand:
         text = (out / "force_report.txt").read_text()
         assert text.startswith("base_value\t")
         assert len(text.splitlines()) == 4 + 19
+
+    @pytest.mark.parametrize("mode", ["global", "instance"])
+    def test_same_seed_writes_same_bytes(self, trained_run, tmp_path, capsys, mode):
+        if mode == "global":
+            target = ["--global", "--sample", "3"]
+        else:
+            ds = D.make_windows(D.load_table(trained_run["data"]), 4, 2)
+            target = ["--instance", ds.split("test").anchors[1].isoformat()]
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert cli.main(["explain", "--checkpoint", str(trained_run["checkpoint"]),
+                             "--data", str(trained_run["data"]), *target,
+                             "--permutations", "3", "--seed", "7", "--out", str(out)]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        assert len(names) == (3 if mode == "global" else 2)
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_exact_estimator_file_lists_no_permutations(self, trained_run, tmp_path, capsys,
                                                          monkeypatch):

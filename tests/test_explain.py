@@ -244,7 +244,7 @@ class TestAggregation:
         for _ in range(n_inst):
             phis = rng.standard_normal(19)
             out.append(X.Explanation(phi0=0.0, phis=phis, fx=float(phis.sum()),
-                                     estimator="exact"))
+                                     estimator="sampled", std_errors=np.abs(phis) / 10))
         return out
 
     def test_percentages_sum_to_hundred(self):
@@ -271,29 +271,44 @@ class TestAggregation:
     def test_beeswarm_cardinality_and_order(self):
         exps = self._fake_explanations(n_inst=4)
         raw = np.random.default_rng(10).standard_normal((4, 19))
-        rows = X.beeswarm_export(exps, raw)
+        lines = X.beeswarm_to_text(exps, raw).splitlines()
+        assert lines[0] == "feature\tinstance\traw_value\tphi\tse"
+        rows = [ln.split("\t") for ln in lines[1:]]
         assert len(rows) == 4 * 19
         mean_abs = np.abs(np.stack([e.phis for e in exps])).mean(axis=0)
         first_feature = rows[0][0]
         assert first_feature == FEATURE_COLUMNS[int(np.argmax(mean_abs))]
+        for feature, instance, value, phi, se in rows:
+            i, j = int(instance), FEATURE_COLUMNS.index(feature)
+            assert float(value) == raw[i, j]
+            assert float(phi) == exps[i].phis[j]
+            assert float(se) == exps[i].std_errors[j]
 
     def test_beeswarm_length_mismatch(self):
         with pytest.raises(ValueError):
-            X.beeswarm_export(self._fake_explanations(3), np.zeros((2, 19)))
+            X.beeswarm_to_text(self._fake_explanations(3), np.zeros((2, 19)))
 
     def test_force_report_walk(self):
         e = X.Explanation(phi0=1.0, phis=np.array([0.5, -2.0, 0.25]), fx=-0.25,
-                          estimator="exact", feature_names=("a", "b", "c"))
-        entries = X.force_report(e)
-        assert [x.feature for x in entries] == ["b", "a", "c"]
-        assert entries[-1].cumulative == pytest.approx(e.fx, abs=1e-12)
-        assert [x.positive for x in entries] == [False, True, True]
+                          estimator="exact", std_errors=np.zeros(3),
+                          feature_names=("a", "b", "c"))
+        lines = X.force_report_to_text(e).splitlines()
+        assert lines[3] == "feature\tphi\tse\tcumulative\tsign"
+        rows = [ln.split("\t") for ln in lines[4:]]
+        assert [r[0] for r in rows] == ["b", "a", "c"]
+        assert float(rows[-1][3]) == pytest.approx(e.fx, abs=1e-12)
+        assert [r[4] for r in rows] == ["-", "+", "+"]
 
     def test_force_report_text(self):
-        e = X.Explanation(phi0=0.0, phis=np.array([1.0, -1.0]), fx=0.0,
+        e = X.Explanation(phi0=0.0, phis=np.array([1.0, -2.0]), fx=-1.0,
                           estimator="sampled", n_permutations=10,
-                          std_errors=np.array([0.1, 0.1]),
+                          std_errors=np.array([0.1, 0.2]),
                           feature_names=("a", "b"))
         text = X.force_report_to_text(e)
         assert text.startswith("base_value\t")
         assert "sampled" in text
+        assert text.splitlines()[4:] == ["b\t-2.0\t0.2\t-2.0\t-", "a\t1.0\t0.1\t-1.0\t+"]
+
+    def test_exact_values_carry_zero_standard_errors(self):
+        e = X.exact_shapley(linear_vf([1.0, -2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
+        assert np.array_equal(e.std_errors, np.zeros(3))

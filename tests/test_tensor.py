@@ -467,6 +467,11 @@ class TestBatched:
         fn = lambda ts: tensor_sum(mul(head_mix(ts[0], ts[1], n_heads), Tensor(coef)))
         assert grad_check(fn, [w, v]).ok(1e-4)
 
+    def test_attention_core_shape_error_names_it(self):
+        q, k = t(np.zeros((2, 4))), t(np.zeros((3, 6)))
+        with pytest.raises(ShapeError, match=r"^attention_core: shapes \(2, 4\), \(3, 6\)"):
+            attention_core(q, k, t(np.zeros((3, 6))), 1)
+
     def test_head_ops_reject_mismatched_batches(self):
         with pytest.raises(ShapeError):
             head_scores(t(np.zeros((2, 3, 4))), t(np.zeros((3, 3, 4))), 2)

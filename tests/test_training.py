@@ -158,11 +158,17 @@ class TestAdam:
         assert_tiles(Adam(model.params, model.flat))
         optimizers = []
         original = Adam.step
-        monkeypatch.setattr(Adam, "step",
-                            lambda opt, lr: optimizers.append(opt) or original(opt, lr))
+
+        def step(opt, lr):  # fit unbinds the views on exit, so check at each step
+            optimizers.append(opt)
+            grad = opt.grad.copy()
+            assert_tiles(opt)
+            opt.grad[:] = grad
+            original(opt, lr)
+
+        monkeypatch.setattr(Adam, "step", step)
         fit(model, small_dataset(), TrainConfig(max_epochs=1))
-        assert all(opt is optimizers[0] for opt in optimizers)
-        assert_tiles(optimizers[0])
+        assert optimizers and all(opt is optimizers[0] for opt in optimizers)
 
     def test_step_peak_under_five_and_a_half_parameter_copies(self):
         """Build, then three steps of a model whose parameters outweigh its
@@ -350,6 +356,31 @@ class TestFit:
         samples = re.search(r"samples \[([0-9, ]+)\]", str(info.value)).group(1)
         assert planted in [int(i) for i in samples.split(",")]
         assert re.search(r"\]: enc_embed: linear produced non-finite", str(info.value))
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_leaves_no_grad_bound_to_its_optimizer(self, raises):
+        """After fit, every .grad is None, so a backward on the trained model
+        equals one on a fresh model at the same weights."""
+        ds = small_dataset()
+        if raises:
+            ds.split("train").windows[7, 2, 0] = np.nan
+        model = small_model(seed=9)
+        cfg = TrainConfig(max_epochs=1, learning_rate=1e-3, seed=9)
+        if raises:
+            with pytest.raises(NumericError):
+                fit(model, ds, cfg)
+        else:
+            fit(model, ds, cfg)
+        assert all(p.grad is None for p in model.params.values())
+        fresh = small_model(seed=0)
+        fresh.flat[:] = model.flat
+        train = small_dataset().split("train")
+        w, tgt = train.windows[0], train.targets[0]
+        for m in (model, fresh):
+            out = m.forward(w, teacher_forced_input(w, tgt, D.TARGET_INDEX))
+            backward(mse(out, Tensor(tgt[:, None])))
+        for n, p in model.params.items():
+            assert np.array_equal(p.grad, fresh.params[n].grad), n
 
     def test_horizon_mismatch_rejected(self):
         ds = small_dataset(horizon=2)
