@@ -244,20 +244,19 @@ def cmd_explain(args) -> int:
         explanations.append(e)
 
     if args.instance is not None:
-        text = explain_mod.force_report_to_text(explanations[0])
-        (out / "force_report.txt").write_text(text, encoding="utf-8")
-        print(text, end="")
+        report, text = "force_report.txt", explain_mod.force_report_to_text(explanations[0])
     else:
-        gi = explain_mod.global_importance(explanations)
-        (out / "global_importance.txt").write_text(gi.to_text(), encoding="utf-8")
+        report, text = "global_importance.txt", explain_mod.global_importance_to_text(explanations)
         raw_rows = [normalizer.invert(test.windows[i])[-1] for i in indices]
         (out / "beeswarm.txt").write_text(explain_mod.beeswarm_to_text(explanations, raw_rows),
                                           encoding="utf-8")
-        print(gi.to_text(), end="")
+    (out / report).write_text(text, encoding="utf-8")
+    print(text, end="")
     permutations = f"permutations = {args.permutations}\n" if args.estimator == "sampled" else ""
+    evaluations = sum(e.n_evaluations for e in explanations)
     (out / "estimator.txt").write_text(
-        f"estimator = {args.estimator}\n{permutations}lead = {args.lead}\nseed = {args.seed}\n",
-        encoding="utf-8")
+        f"estimator = {args.estimator}\n{permutations}evaluations = {evaluations}\n"
+        f"lead = {args.lead}\nseed = {args.seed}\n", encoding="utf-8")
     return EXIT_OK
 
 

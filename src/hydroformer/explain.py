@@ -1,17 +1,17 @@
 """Model-agnostic Shapley-value attribution: exact coalition enumeration,
-permutation Monte Carlo sampling, global importance aggregation, and
-per-instance force reports.
+permutation Monte Carlo sampling, and the global importance, beeswarm and
+per-instance force reports written straight from the explanations.
 
 A coalition is evaluated by baseline imputation: features outside the
 coalition take their reference value across the whole lookback window.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FEATURE_COLUMNS, METEO_COLUMNS
+from .data import FEATURE_COLUMNS, HYDRO_COLUMNS, METEO_COLUMNS
 from .errors import ConfigError
 
 EXACT_CAP = 12
@@ -52,16 +52,17 @@ def _masked_value(vf, bitmask):
     return float(vf.predict(np.where(keep, vf.instance, vf.baseline)))
 
 
-def _values(vf, bitmasks) -> np.ndarray:
-    """Values of an int array of coalition bitmasks, in the array's shape.
-    Each distinct coalition is evaluated once, in first-visit order."""
+def _values(vf, bitmasks):
+    """Values of an int array of coalition bitmasks, in the array's shape,
+    and the number of model evaluations: each distinct coalition is
+    evaluated once, in first-visit order."""
     bitmasks = np.asarray(bitmasks)
     distinct, first, inverse = np.unique(bitmasks.ravel(), return_index=True,
                                          return_inverse=True)
     values = np.empty(len(distinct))
     for k in np.argsort(first):
         values[k] = _masked_value(vf, int(distinct[k]))
-    return values[inverse].reshape(bitmasks.shape)
+    return values[inverse].reshape(bitmasks.shape), len(distinct)
 
 
 @dataclass
@@ -71,7 +72,7 @@ class Explanation:
     fx: float                         # model output at the instance
     estimator: str                    # "exact" or "sampled"
     std_errors: np.ndarray            # per feature; zeros for exact values
-    n_permutations: int | None = None
+    n_evaluations: int                # distinct coalitions the model evaluated
     feature_names: tuple = FEATURE_COLUMNS
 
 
@@ -89,7 +90,7 @@ def exact_shapley(vf: ValueFunction, allow_large: bool = False) -> Explanation:
     n = vf.n_features
     check_exact_cap(n, allow_large)
     masks = np.arange(1 << n)
-    values = _values(vf, masks)
+    values, n_evaluations = _values(vf, masks)
     sizes = sum(((masks >> i) & 1 for i in range(n)), np.zeros_like(masks))
     weights = np.array([math.factorial(s) * math.factorial(n - s - 1) / math.factorial(n)
                         for s in range(n)])
@@ -100,7 +101,7 @@ def exact_shapley(vf: ValueFunction, allow_large: bool = False) -> Explanation:
                          * (values[without_i | (1 << i)] - values[without_i]))
     return Explanation(phi0=float(values[0]), phis=phis, fx=float(values[-1]),
                        estimator="exact", std_errors=np.zeros(n),
-                       feature_names=vf.feature_names)
+                       n_evaluations=n_evaluations, feature_names=vf.feature_names)
 
 
 def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
@@ -114,14 +115,14 @@ def sampled_shapley(vf: ValueFunction, m: int, seed: int = 0) -> Explanation:
     rng = np.random.default_rng(seed)
     orders = np.stack([rng.permutation(n) for _ in range(m)])
     prefixes = np.bitwise_or.accumulate(1 << orders, axis=1)
-    values = _values(vf, np.pad(prefixes, ((0, 0), (1, 0))))
+    values, n_evaluations = _values(vf, np.pad(prefixes, ((0, 0), (1, 0))))
     marginals = np.zeros((m, n))
     np.put_along_axis(marginals, orders, np.diff(values, axis=1), axis=1)
     phis = marginals.mean(axis=0)
     se = marginals.std(axis=0, ddof=1) / math.sqrt(m)
     return Explanation(phi0=float(values[0, 0]), phis=phis, fx=float(values[0, -1]),
-                       estimator="sampled", n_permutations=m, std_errors=se,
-                       feature_names=vf.feature_names)
+                       estimator="sampled", std_errors=se,
+                       n_evaluations=n_evaluations, feature_names=vf.feature_names)
 
 
 def model_value_function(model, normalizer, window_normalized: np.ndarray,
@@ -142,50 +143,31 @@ def model_value_function(model, normalizer, window_normalized: np.ndarray,
                          feature_names=FEATURE_COLUMNS)
 
 
-FEATURE_GROUPS = {
-    "meteorological": tuple(METEO_COLUMNS),
-    "hydrological": tuple(c for c in FEATURE_COLUMNS if c not in METEO_COLUMNS),
-}
+FEATURE_GROUPS = {"meteorological": METEO_COLUMNS, "hydrological": HYDRO_COLUMNS}
 
 
-@dataclass
-class GlobalImportance:
-    feature_names: tuple
-    mean_abs_phi: np.ndarray
-    percentages: np.ndarray           # shares of 100
-    group_shares: dict = field(default_factory=dict)
-
-    def ranked(self):
-        order = np.argsort(-self.mean_abs_phi)
-        return [(self.feature_names[i], float(self.mean_abs_phi[i]),
-                 float(self.percentages[i])) for i in order]
-
-    def to_text(self) -> str:
-        lines = ["feature\tmean_abs_phi\tpercent"]
-        for name, imp, pct in self.ranked():
-            lines.append(f"{name}\t{imp!r}\t{pct!r}")
-        for group, share in self.group_shares.items():
-            lines.append(f"group:{group}\t\t{share!r}")
-        return "\n".join(lines) + "\n"
+def _by_mean_abs_phi(phis: np.ndarray):
+    """Mean |phi| per feature of an instances x features matrix, and the
+    features in descending order of it."""
+    mean_abs = np.abs(phis).mean(axis=0)
+    return mean_abs, np.argsort(-mean_abs)
 
 
-def global_importance(explanations) -> GlobalImportance:
-    """Mean |phi| per feature over a sample of explained instances,
-    normalized to percentage shares, with Table-1 group roll-ups."""
-    explanations = list(explanations)
-    if not explanations:
-        raise ValueError("global_importance requires at least one explanation")
+def global_importance_to_text(explanations: list) -> str:
+    """Mean |phi| per feature over the explained instances and its share of
+    100, in descending order, then the Table-1 group roll-ups (sums of their
+    members' shares) when the features are the schema's."""
     names = explanations[0].feature_names
-    mat = np.abs(np.stack([e.phis for e in explanations]))
-    mean_abs = mat.mean(axis=0)
+    mean_abs, order = _by_mean_abs_phi(np.stack([e.phis for e in explanations]))
     total = mean_abs.sum()
     pct = mean_abs / total * 100.0 if total > 0 else np.zeros_like(mean_abs)
-    groups = {}
+    lines = ["feature\tmean_abs_phi\tpercent"]
+    lines += [f"{names[j]}\t{float(mean_abs[j])!r}\t{float(pct[j])!r}" for j in order]
     if set(names) == set(FEATURE_COLUMNS):
         for group, members in FEATURE_GROUPS.items():
-            groups[group] = float(sum(pct[names.index(mname)] for mname in members))
-    return GlobalImportance(feature_names=names, mean_abs_phi=mean_abs,
-                            percentages=pct, group_shares=groups)
+            share = float(sum(pct[names.index(name)] for name in members))
+            lines.append(f"group:{group}\t\t{share!r}")
+    return "\n".join(lines) + "\n"
 
 
 def beeswarm_to_text(explanations: list, raw_rows) -> str:
@@ -200,7 +182,7 @@ def beeswarm_to_text(explanations: list, raw_rows) -> str:
     phis = np.stack([e.phis for e in explanations])
     ses = np.stack([e.std_errors for e in explanations])
     lines = ["feature\tinstance\traw_value\tphi\tse"]
-    for j in np.argsort(-np.abs(phis).mean(axis=0)):
+    for j in _by_mean_abs_phi(phis)[1]:
         for i in range(len(explanations)):
             lines.append(f"{names[j]}\t{i}\t{float(raw_rows[i, j])!r}"
                          f"\t{float(phis[i, j])!r}\t{float(ses[i, j])!r}")

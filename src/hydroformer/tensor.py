@@ -68,20 +68,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _check_finite(arr, opname):
     """NumericError unless every element of arr is finite. A finite sum of

@@ -20,7 +20,7 @@ from .data import TARGET_INDEX, WindowedDataset
 from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricReport
 from .model import ModelConfig, TransformerModel
-from .tensor import backward, mse, no_grad, Tensor
+from .tensor import backward, mse, no_grad, scale, Tensor
 
 # Bytes one sub-batch's graph may keep alive for backward.
 TAPE_BUDGET_BYTES = 4 << 20
@@ -178,12 +178,22 @@ def sub_batch_size(config: ModelConfig) -> int:
 
 
 def forward_batch_size(config: ModelConfig) -> int:
-    """Most windows per no-grad forward or rollout chunk, at least one: each
-    window is charged four L x w float64 arrays, w the widest per-row array
-    (FFN hidden, model width or one row of all heads' scores)."""
-    L = config.lookback
-    width = max(config.d_ffn, config.d_model, config.n_heads * L)
-    return max(1, FORWARD_BUDGET_BYTES // (32 * L * width))
+    """Most windows per no-grad forward or rollout chunk, at least one.
+
+    Per window, with R = max(lookback L, horizon H) rows: an attention
+    layer holds six R x d arrays (input, Q, K, V, the head mix and its
+    merged copy) beside its scores and weights (n_heads x R x R each); an
+    FFN holds three R x d arrays beside its hidden pre-activation and
+    activation (R x d_ffn each); while the decoder runs, each decoder layer
+    keeps the memory's cross-attention K and V (L x d each) and a rollout's
+    self-attention K/V cache (H x d each). Each window is charged the
+    attention's arrays, the FFN's hidden pair and every decoder layer's
+    K/V, which is more than any one of these peaks holds."""
+    c = config
+    rows = max(c.lookback, c.horizon)
+    floats = (rows * (6 * c.d_model + 2 * c.n_heads * rows + 2 * c.d_ffn)
+              + 2 * c.n_decoder_layers * (c.lookback + c.horizon) * c.d_model)
+    return max(1, FORWARD_BUDGET_BYTES // (8 * floats))
 
 
 def _sub_batches(indices, size):
@@ -243,7 +253,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                         w, dec_in, tgt = _batch(train, idx, TARGET_INDEX)
                         # mean over the sub-batch, weighted to a mean over the batch
                         loss = mse(model.forward(w, dec_in), Tensor(tgt))
-                        backward(loss * (len(idx) / len(batch)))
+                        backward(scale(loss, len(idx) / len(batch)))
                     except NumericError as e:
                         raise NumericError(f"epoch {epoch}, samples {idx.tolist()}: {e}") from e
                     epoch_loss += float(loss.data) * len(idx)

@@ -275,7 +275,8 @@ def ref_exact_shapley(vf, allow_large: bool = False) -> Explanation:
             phis[i] += w * (_ref_masked_value(vf, subset | bit, cache) - v_s)
     return Explanation(phi0=_ref_masked_value(vf, 0, cache), phis=phis,
                        fx=_ref_masked_value(vf, full, cache), estimator="exact",
-                       std_errors=np.zeros(n), feature_names=vf.feature_names)
+                       std_errors=np.zeros(n), n_evaluations=len(cache),
+                       feature_names=vf.feature_names)
 
 
 def ref_sampled_shapley(vf, m: int, seed: int = 0) -> Explanation:
@@ -300,5 +301,5 @@ def ref_sampled_shapley(vf, m: int, seed: int = 0) -> Explanation:
     se = marginals.std(axis=0, ddof=1) / math.sqrt(m)
     return Explanation(phi0=_ref_masked_value(vf, 0, cache), phis=phis,
                        fx=_ref_masked_value(vf, (1 << n) - 1, cache),
-                       estimator="sampled", n_permutations=m, std_errors=se,
+                       estimator="sampled", std_errors=se, n_evaluations=len(cache),
                        feature_names=vf.feature_names)

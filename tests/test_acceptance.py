@@ -9,11 +9,11 @@ import pytest
 from hydroformer import cli
 from hydroformer import data as D
 from hydroformer import explain as X
-from hydroformer.attention import attend, causal_mask, topk_mask
+from hydroformer.attention import attend, causal_mask
 from hydroformer.metrics import DegenerateDenominatorError, mae, mbe, r2, rmse
 from hydroformer.model import ModelConfig, TransformerModel, checkpoint_digest
-from hydroformer.tensor import (Tensor, activation, backward, layer_norm,
-                                masked_softmax, matmul, mse)
+from hydroformer.tensor import (Tensor, attention_core, backward, layer_norm, matmul,
+                                mlp, mse)
 from hydroformer.training import TrainConfig, evaluate_split, fit, _split_loss
 
 from gradcheck import grad_check
@@ -60,24 +60,26 @@ def test_criterion_01_gradient_integrity():
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 3))
     op_reports.append(grad_check(
         lambda ts: mse(matmul(ts[0], ts[1]), Tensor(np.zeros((3, 3)))), [a, b]))
-    mask = rng.random((4, 5)) > 0.3
-    mask[:, 0] = True
-    s = rng.standard_normal((4, 5))
+    # the model's attention op: 2 heads under a causal mask, and top-2 sparse
+    causal = np.tile(causal_mask(4), (2, 1))
     op_reports.append(grad_check(
-        lambda ts: mse(masked_softmax(ts[0], mask), Tensor(np.zeros((4, 5)))), [s]))
+        lambda ts: mse(attention_core(ts[0], ts[1], ts[2], 2, 0.5, causal),
+                       Tensor(np.zeros((4, 4)))),
+        [rng.standard_normal((4, 4)) for _ in range(3)]))
+    op_reports.append(grad_check(
+        lambda ts: mse(attention_core(ts[0], ts[1], ts[2], 1, 0.5, None, 2),
+                       Tensor(np.zeros((4, 3)))),
+        [rng.standard_normal((4, 3)) * 2 for _ in range(3)]))
     g, bt = np.ones(6), np.zeros(6)
     x = rng.standard_normal((3, 6))
     op_reports.append(grad_check(
         lambda ts: mse(layer_norm(ts[0], ts[1], ts[2]), Tensor(np.zeros((3, 6)))),
         [x, g, bt]))
+    # the model's FFN and nonlinear-head op with each head activation
     for act in ("tanh", "relu", "sigmoid"):
         op_reports.append(grad_check(
-            lambda ts, act=act: mse(activation(ts[0], act), Tensor(np.zeros((3, 4)))),
-            [rng.standard_normal((3, 4)) + 0.05]))
-    op_reports.append(grad_check(
-        lambda ts: mse(attend(ts[0], ts[1], ts[2], 2),
-                       Tensor(np.zeros((4, 3)))),
-        [rng.standard_normal((4, 3)) * 2 for _ in range(3)]))
+            lambda ts, act=act: mse(mlp(*ts, act), Tensor(np.zeros((3, 2)))),
+            [rng.standard_normal(shape) for shape in ((3, 4), (4, 5), (5,), (5, 2), (2,))]))
     ops_worst = max(r.max_rel_error for r in op_reports)
 
     # end-to-end tiny model: loss gradient wrt every parameter tensor,
@@ -141,6 +143,14 @@ def test_criterion_02_sparse_dense_equivalence():
              worst_attn <= 1e-12 and worst_e2e <= 1e-12)
 
 
+def _attention_weights(scores, k):
+    """attention_core's top-k softmax weights over the given scores: queries
+    equal to the scores and identity keys and values make q k^T the scores
+    and the head mix the weights themselves."""
+    eye = Tensor(np.eye(scores.shape[-1]))
+    return attention_core(Tensor(scores), eye, eye, 1, 1.0, None, k).data
+
+
 def test_criterion_03_mask_laws():
     ok = True
     rng = np.random.default_rng(3)
@@ -148,21 +158,22 @@ def test_criterion_03_mask_laws():
         rows, cols = int(rng.integers(2, 8)), int(rng.integers(2, 10))
         k = int(rng.integers(1, cols + 1))
         scores = rng.standard_normal((rows, cols))
-        keep = topk_mask(scores, k)
+        w = _attention_weights(scores, k)
+        # kept entries are read off the weights: the positive ones
+        keep = w > 0.0
         for i in range(rows):
             kept, masked = scores[i][keep[i]], scores[i][~keep[i]]
             if masked.size and kept.min() < masked.max():
                 ok = False
             if np.unique(scores[i]).size == cols and keep[i].sum() != min(k, cols):
                 ok = False
-        w = masked_softmax(Tensor(scores), keep).data
         if not np.all(w[~keep] == 0.0):
             ok = False
         if np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
             ok = False
     # ties at the threshold are all retained
     tied = np.array([[1.0, 1.0, 0.5], [0.2, 0.9, 0.9]])
-    keep = topk_mask(tied, 1)
+    keep = _attention_weights(tied, 1) > 0.0
     if keep[0].tolist() != [True, True, False]:
         ok = False
     if keep[1].tolist() != [False, True, True]:
@@ -286,13 +297,14 @@ def test_criterion_09_shap_signal_recovery(learning_run):
     for i in picks:
         vf = X.model_value_function(model, dataset.normalizer, test.windows[i], lead=1)
         explanations.append(X.sampled_shapley(vf, m=10, seed=i))
-    gi = X.global_importance(explanations)
-    top_feature = gi.ranked()[0][0]
-    shares_ok = abs(sum(gi.group_shares.values()) - 100.0) <= 1e-9
+    rows = [ln.split("\t") for ln in X.global_importance_to_text(explanations).splitlines()]
+    top_feature = rows[1][0]
+    shares = {f.removeprefix("group:"): float(pct) for f, _, pct in rows if f.startswith("group:")}
+    shares_ok = abs(sum(shares.values()) - 100.0) <= 1e-9
     local_ok = all(abs(e.phi0 + e.phis.sum() - e.fx) <= 1e-8
                    for e in explanations[:8])
     print(f"\n  top feature {top_feature}, "
-          f"group shares {dict((g, round(s, 1)) for g, s in gi.group_shares.items())}")
+          f"group shares {dict((g, round(s, 1)) for g, s in shares.items())}")
     _verdict(9, "shap signal recovery",
              top_feature == "ch_wl" and shares_ok and local_ok)
 

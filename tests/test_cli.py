@@ -392,8 +392,9 @@ class TestExplainCommand:
         bees = (out / "beeswarm.txt").read_text().splitlines()
         assert bees[0] == "feature\tinstance\traw_value\tphi\tse"
         assert len(bees) == 1 + 2 * 19
+        # 2 instances x (3 orders x 18 proper prefixes + the empty and full coalitions)
         assert (out / "estimator.txt").read_text() == \
-            "estimator = sampled\npermutations = 3\nlead = 1\nseed = 0\n"
+            "estimator = sampled\npermutations = 3\nevaluations = 112\nlead = 1\nseed = 0\n"
 
     def test_instance_force_report(self, trained_run, tmp_path, capsys):
         series = D.load_table(trained_run["data"])
@@ -439,7 +440,9 @@ class TestExplainCommand:
                        "--data", str(trained_run["data"]), "--global", "--sample", "1",
                        "--estimator", "exact", "--allow-large-exact", "--out", str(out)])
         assert rc == 0
-        assert (out / "estimator.txt").read_text() == "estimator = exact\nlead = 1\nseed = 0\n"
+        # the stub's 2 orders: 2 x 18 proper prefixes + the empty and full coalitions
+        assert (out / "estimator.txt").read_text() == \
+            "estimator = exact\nevaluations = 38\nlead = 1\nseed = 0\n"
 
     def test_exact_cap_option_removed(self, trained_run, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydroformer import explain as X
-from hydroformer.data import FEATURE_COLUMNS, METEO_COLUMNS
+from hydroformer.data import FEATURE_COLUMNS, HYDRO_COLUMNS, METEO_COLUMNS
 from hydroformer.errors import ConfigError
 
 from _oracles import ref_exact_shapley, ref_sampled_shapley
@@ -180,13 +180,27 @@ def test_shapley_matches_per_coalition_oracle(n, m, lookback, seed):
     assert got.phi0 == ref.phi0 and got.fx == ref.fx
     assert np.array_equal(got.phis, ref.phis)
     assert np.array_equal(got.std_errors, ref.std_errors)
-    assert len(seen) == len(ref_seen)
+    assert got.n_evaluations == ref.n_evaluations == len(seen) == len(ref_seen)
     assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
 
     got = X.exact_shapley(vf)
     ref = ref_exact_shapley(ref_vf)
     assert got.phi0 == ref.phi0 and got.fx == ref.fx
     assert np.allclose(got.phis, ref.phis, rtol=0.0, atol=1e-12)
+    assert got.n_evaluations == ref.n_evaluations == 1 << n
+
+
+def test_evaluation_counts():
+    """One model evaluation per distinct coalition: 2^n for exact, the
+    distinct prefixes of the drawn orders for sampled."""
+    vf, seen = recording_vf(3, 2, seed=0)
+    assert X.exact_shapley(vf).n_evaluations == len(seen) == 8
+    seen.clear()
+    # 30 orders of 3 features start and end with each feature: all 8 coalitions
+    assert X.sampled_shapley(vf, m=30, seed=0).n_evaluations == len(seen) == 8
+    vf, seen = recording_vf(1, 2, seed=0)
+    # every order of one feature visits the empty and the full coalition only
+    assert X.sampled_shapley(vf, m=5, seed=0).n_evaluations == len(seen) == 2
 
 
 def test_non_model_value_function_has_generic_names():
@@ -195,7 +209,7 @@ def test_non_model_value_function_has_generic_names():
                          instance=np.ones((1, n)), baseline=np.zeros(n))
     e = X.sampled_shapley(vf, m=2)
     assert e.feature_names == tuple(f"f{i}" for i in range(n))
-    assert X.global_importance([e]).group_shares == {}
+    assert "group:" not in X.global_importance_to_text([e])
     with pytest.raises(ValueError):
         X.ValueFunction(predict=vf.predict, instance=np.ones((1, 2)),
                         baseline=np.zeros(2), feature_names=("a",))
@@ -215,7 +229,7 @@ class TestModelValueFunction:
         model, ds = self._tiny()
         w = ds.split("test").windows[0]
         vf = X.model_value_function(model, ds.normalizer, w, lead=2)
-        fx = X._values(vf, np.array([(1 << 19) - 1]))[0]
+        fx = X._values(vf, np.array([(1 << 19) - 1]))[0][0]
         expect = float(ds.normalizer.invert_target(
             np.array(model.predict(w, 2)[1, 0])))
         assert fx == pytest.approx(expect, abs=1e-12)
@@ -237,6 +251,19 @@ class TestModelValueFunction:
                                    ds.split("val").windows[0], lead=3)
 
 
+def read_global_importance(text):
+    """(feature, mean_abs_phi, percent) rows in file order, and the group
+    rows as {group: percent}."""
+    lines = text.splitlines()
+    assert lines[0] == "feature\tmean_abs_phi\tpercent"
+    rows = [ln.split("\t") for ln in lines[1:]]
+    features = [(f, float(imp), float(pct)) for f, imp, pct in rows if not f.startswith("group:")]
+    groups = {f.removeprefix("group:"): float(pct) for f, imp, pct in rows
+              if f.startswith("group:") and imp == ""}
+    assert len(features) + len(groups) == len(rows)
+    return features, groups
+
+
 class TestAggregation:
     def _fake_explanations(self, n_inst=6, seed=9):
         rng = np.random.default_rng(seed)
@@ -244,25 +271,33 @@ class TestAggregation:
         for _ in range(n_inst):
             phis = rng.standard_normal(19)
             out.append(X.Explanation(phi0=0.0, phis=phis, fx=float(phis.sum()),
-                                     estimator="sampled", std_errors=np.abs(phis) / 10))
+                                     estimator="sampled", std_errors=np.abs(phis) / 10,
+                                     n_evaluations=40))
         return out
 
+    def _importance(self):
+        return read_global_importance(X.global_importance_to_text(self._fake_explanations()))
+
     def test_percentages_sum_to_hundred(self):
-        gi = X.global_importance(self._fake_explanations())
-        assert gi.percentages.sum() == pytest.approx(100.0, abs=1e-9)
+        features, _ = self._importance()
+        assert len(features) == 19
+        assert sum(pct for _, _, pct in features) == pytest.approx(100.0, abs=1e-9)
 
     def test_group_partition(self):
-        gi = X.global_importance(self._fake_explanations())
-        assert set(gi.group_shares) == {"meteorological", "hydrological"}
-        assert sum(gi.group_shares.values()) == pytest.approx(100.0, abs=1e-9)
-        meteo = sum(p for f, _, p in
-                    [(n, i, p) for n, i, p in gi.ranked()] if f in METEO_COLUMNS)
-        assert gi.group_shares["meteorological"] == pytest.approx(meteo, abs=1e-9)
+        features, groups = self._importance()
+        assert list(groups) == ["meteorological", "hydrological"]
+        assert sum(groups.values()) == pytest.approx(100.0, abs=1e-9)
+        for group, members in (("meteorological", METEO_COLUMNS),
+                               ("hydrological", HYDRO_COLUMNS)):
+            share = sum(pct for f, _, pct in features if f in members)
+            assert groups[group] == pytest.approx(share, abs=1e-9)
 
     def test_ranked_descending(self):
-        gi = X.global_importance(self._fake_explanations())
-        imps = [imp for _, imp, _ in gi.ranked()]
+        features, _ = self._importance()
+        imps = [imp for _, imp, _ in features]
         assert imps == sorted(imps, reverse=True)
+        mean_abs = np.abs(np.stack([e.phis for e in self._fake_explanations()])).mean(axis=0)
+        assert all(imp == mean_abs[FEATURE_COLUMNS.index(f)] for f, imp, _ in features)
 
     def test_group_sizes_follow_schema(self):
         assert len(X.FEATURE_GROUPS["meteorological"]) == 7
@@ -290,7 +325,7 @@ class TestAggregation:
 
     def test_force_report_walk(self):
         e = X.Explanation(phi0=1.0, phis=np.array([0.5, -2.0, 0.25]), fx=-0.25,
-                          estimator="exact", std_errors=np.zeros(3),
+                          estimator="exact", std_errors=np.zeros(3), n_evaluations=8,
                           feature_names=("a", "b", "c"))
         lines = X.force_report_to_text(e).splitlines()
         assert lines[3] == "feature\tphi\tse\tcumulative\tsign"
@@ -301,8 +336,8 @@ class TestAggregation:
 
     def test_force_report_text(self):
         e = X.Explanation(phi0=0.0, phis=np.array([1.0, -2.0]), fx=-1.0,
-                          estimator="sampled", n_permutations=10,
-                          std_errors=np.array([0.1, 0.2]),
+                          estimator="sampled", std_errors=np.array([0.1, 0.2]),
+                          n_evaluations=4,
                           feature_names=("a", "b"))
         text = X.force_report_to_text(e)
         assert text.startswith("base_value\t")

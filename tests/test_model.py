@@ -13,7 +13,7 @@ from hydroformer.attention import multi_head
 from hydroformer.errors import ConfigError, DataError, NumericError
 from hydroformer.model import (ModelConfig, TransformerModel, checkpoint_digest,
                                load_checkpoint, positions, save_checkpoint)
-from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse
+from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse, scale
 from hydroformer.training import TrainConfig, fit
 
 from _memory import traced
@@ -409,7 +409,7 @@ def _step(model, window, dec, target):
     for p in model.params.values():
         p.grad = None
     out = model.forward(window, dec)
-    backward(mse(out, Tensor(target)) * float(1 if window.ndim == 2 else len(window)))
+    backward(scale(mse(out, Tensor(target)), 1 if window.ndim == 2 else len(window)))
     return out.data, {n: p.grad for n, p in model.params.items()}
 
 

@@ -7,7 +7,7 @@ from hydroformer import attention, training
 from hydroformer import data as D
 from hydroformer.errors import ConfigError, DataError, NumericError
 from hydroformer.model import ModelConfig, TransformerModel
-from hydroformer.tensor import Tensor, backward, mse
+from hydroformer.tensor import Tensor, backward, mse, no_grad
 from hydroformer.training import (FORWARD_BUDGET_BYTES, TAPE_BUDGET_BYTES, Adam,
                                   EarlyStopper, LossCurve, TrainConfig, _batch, _split_loss,
                                   _sub_batches, evaluate_split, fit, forward_batch_size,
@@ -474,8 +474,8 @@ class TestEvaluateSplit:
         ds = small_dataset(horizon=3)
         model = small_model(seed=9, horizon=3, attention_mode="sparse",
                             output_head="nonlinear")
-        monkeypatch.setattr(training, "FORWARD_BUDGET_BYTES",
-                            5 * 32 * 6 * 16 + 100)
+        # this model is charged 6720 B a window
+        monkeypatch.setattr(training, "FORWARD_BUDGET_BYTES", 5 * 6720 + 100)
         assert forward_batch_size(model.config) == 5
         chunks = []
         predict = model.predict
@@ -510,20 +510,43 @@ class _RolloutLoop:
 
 class TestForwardBatchSize:
     def test_sizes(self):
-        # the widest per-row array is the FFN hidden layer at both scales
-        assert forward_batch_size(ModelConfig(lookback=30, horizon=7)) == 68
-        assert forward_batch_size(DESK) == 2184
+        # the paper size rolls a 44-window test split out as one chunk
+        assert forward_batch_size(ModelConfig(lookback=30, horizon=7)) == 54
+        assert forward_batch_size(DESK) == 935
+        # attention-bound: 4 heads' 20 x 20 scores outweigh the 4-wide FFN
         assert forward_batch_size(ModelConfig(d_model=4, n_heads=4, d_ffn=4,
-                                              lookback=20)) == FORWARD_BUDGET_BYTES // (
-            32 * 20 * 4 * 20)
+                                              lookback=20)) == 4017
 
-    def test_paper_scale_chunk_rollout_peak_under_budget(self):
-        cfg = PAPER
+    @staticmethod
+    def _chunk_rollout_peak(cfg):
         model = TransformerModel(cfg, seed=0)
         windows = np.random.default_rng(0).standard_normal(
             (forward_batch_size(cfg), cfg.lookback, cfg.n_features))
-        _, _, peak = traced(lambda: model.predict(windows, cfg.horizon))
-        assert peak < FORWARD_BUDGET_BYTES
+        return traced(lambda: model.predict(windows, cfg.horizon))[2]
+
+    def test_paper_scale_chunk_rollout_peak_under_budget(self):
+        assert self._chunk_rollout_peak(PAPER) < FORWARD_BUDGET_BYTES
+
+    def test_desk_scale_chunk_rollout_peak_under_budget(self):
+        assert self._chunk_rollout_peak(DESK) < FORWARD_BUDGET_BYTES
+
+    def test_decoder_bound_chunks_stay_under_budget(self):
+        """A horizon longer than the lookback, and a short lookback whose
+        decoder K/V outweigh the encoder: the teacher-forced forward of a
+        full chunk peaks under the budget too."""
+        for cfg in (ModelConfig.desk_scale(lookback=10, horizon=30),
+                    ModelConfig.desk_scale(lookback=2, horizon=2)):
+            model = TransformerModel(cfg, seed=0)
+            rng = np.random.default_rng(0)
+            n = forward_batch_size(cfg)
+            windows = rng.standard_normal((n, cfg.lookback, cfg.n_features))
+            dec_in = rng.standard_normal((n, cfg.horizon, 1))
+
+            def forward():
+                with no_grad():
+                    return model.forward(windows, dec_in).data
+
+            assert traced(forward)[2] < FORWARD_BUDGET_BYTES, cfg
 
     def test_split_loss_chunks_by_forward_batch_size(self, monkeypatch):
         """Not by the tape budget: the loss pass records no tape."""
@@ -531,7 +554,8 @@ class TestForwardBatchSize:
         model = small_model(seed=10)
         val = ds.split("val")
         monkeypatch.setattr(training, "TAPE_BUDGET_BYTES", 1)
-        monkeypatch.setattr(training, "FORWARD_BUDGET_BYTES", 5 * 32 * 6 * 16)
+        # this model is charged 6464 B a window
+        monkeypatch.setattr(training, "FORWARD_BUDGET_BYTES", 5 * 6464)
         calls = []
         forward = model.forward
         monkeypatch.setattr(model, "forward", lambda w, d: calls.append(len(w)) or forward(w, d))
