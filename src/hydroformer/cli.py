@@ -25,6 +25,9 @@ from .model import (ModelConfig, TransformerModel, checkpoint_digest,
 from .tensor import Tensor, backward, tensor_sum
 from .training import TrainConfig, check_leads, check_split, evaluate_split, fit
 
+# a resolved config, which holds every key, is about 0.5 KB
+CONFIG_MAX_BYTES = 1 << 16
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -101,9 +104,19 @@ def build_run_config(values: dict, seed_override=None) -> RunConfig:
 
 
 def load_run_config(path, seed_override=None) -> RunConfig:
+    """The config file at path; one longer than CONFIG_MAX_BYTES is refused
+    after reading that many bytes, whatever the file's size."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+        with open(path, "rb") as f:
+            blob = f.read(CONFIG_MAX_BYTES + 1)
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    if len(blob) > CONFIG_MAX_BYTES:
+        raise ConfigError(f"config {path} is longer than {CONFIG_MAX_BYTES} bytes; "
+                          f"not a config file")
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return build_run_config(parse_config_text(text), seed_override)
 

@@ -44,6 +44,24 @@ def _csv_rows(path, f):
         raise DataError(f"{path}:{reader.line_num}: {e}") from e
 
 
+def _cell_values(path, lineno, cells) -> list:
+    """One row's cells parsed one by one: an empty or whitespace-only cell
+    is NaN, any other cell must be a finite number."""
+    vals = []
+    for name, cell in zip(FEATURE_COLUMNS, cells):
+        if cell.strip() == "":
+            vals.append(math.nan)
+            continue
+        try:
+            val = float(cell)
+        except ValueError:
+            val = math.nan
+        if not math.isfinite(val):
+            raise DataError(f"{path}:{lineno}: bad value {cell!r} in {name}")
+        vals.append(val)
+    return vals
+
+
 def load_table(path) -> RawSeries:
     """Parse the delimited input format: header `date,<19 feature names>`,
     daily ISO dates, empty field = missing, every other field a finite number."""
@@ -73,18 +91,15 @@ def load_table(path) -> RawSeries:
                 d = datetime.date.fromisoformat(row[0])
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: unparsable date {row[0]!r}") from e
-            vals = []
-            for name, cell in zip(FEATURE_COLUMNS, row[1:]):
-                if cell.strip() == "":
-                    vals.append(np.nan)
-                    continue
-                try:
-                    val = float(cell)
-                except ValueError:
-                    val = math.nan
-                if not math.isfinite(val):
-                    raise DataError(f"{path}:{lineno}: bad value {cell!r} in {name}")
-                vals.append(val)
+            # one float() per cell; a finite sum rules out nan and inf cells,
+            # so only a row with an empty cell, a bad cell or a sum that
+            # overflows goes cell by cell
+            try:
+                vals = list(map(float, row[1:]))
+            except ValueError:
+                vals = None
+            if vals is None or not math.isfinite(sum(vals)):
+                vals = _cell_values(path, lineno, row[1:])
             if dates and d != dates[-1] + datetime.timedelta(days=1):
                 raise DataError(f"{path}:{lineno}: date {d} is not the day after {dates[-1]}; "
                                 f"write a missing day as a row of empty fields")
@@ -241,16 +256,19 @@ def synth_generate(seed: int, length: int, rain_scale: float = 1.0) -> RawSeries
     gates = np.stack(gates, axis=1)
     pre = gates.mean(axis=1) + rain_scale * rng.gamma(0.3, 1.5, length)
 
-    # exponential rainfall memory feeding the lake
-    total_rain = gates.sum(axis=1)
-    mem = np.zeros(length)
+    # exponential rainfall memory feeding the lake, then AR(1) noise; both
+    # recursions run on Python floats, which round as float64 does
+    rain = gates.sum(axis=1).tolist()
+    mem = [0.0] * length
     for i in range(1, length):
-        mem[i] = 0.93 * mem[i - 1] + 0.07 * total_rain[i]
+        mem[i] = 0.93 * mem[i - 1] + 0.07 * rain[i]
+    mem = np.array(mem)
 
-    ar = np.zeros(length)
-    eps = rng.normal(0, 0.012, length)
+    eps = rng.normal(0, 0.012, length).tolist()
+    ar = [0.0] * length
     for i in range(1, length):
         ar[i] = 0.85 * ar[i - 1] + eps[i]
+    ar = np.array(ar)
 
     wl = 8.0 + 0.45 * np.sin(season + 0.1) + 0.035 * mem - 0.012 * (tm - 16.0) + ar
 
@@ -271,10 +289,13 @@ def synth_generate(seed: int, length: int, rain_scale: float = 1.0) -> RawSeries
 
 
 def write_table(series: RawSeries, path) -> None:
-    """Write the canonical delimited format (inverse of load_table)."""
+    """Write the canonical delimited format (inverse of load_table): a float
+    as its repr, NaN as an empty cell, CRLF line ends. No field ever needs
+    quoting, so the bytes are csv.writer's; the text is written in one call."""
+    lines = [",".join(("date",) + FEATURE_COLUMNS)]
+    values = np.asarray(series.values, dtype=np.float64).tolist()
+    for d, row in zip(series.dates, values):
+        lines.append(d.isoformat() + "," + ",".join(["" if v != v else repr(v) for v in row]))
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["date"] + list(FEATURE_COLUMNS))
-        for d, row in zip(series.dates, series.values):
-            cells = ["" if np.isnan(v) else repr(float(v)) for v in row]
-            writer.writerow([d.isoformat()] + cells)
+        f.write("\r\n".join(lines))

@@ -13,11 +13,14 @@ import numpy as np
 from .attention import default_k, multi_head
 from .data import TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, grad_enabled, layer_norm, linear, matmul, mlp,
-                     no_grad, swap_leading)
+from .tensor import (ACTIVATIONS, Tensor, all_finite, grad_enabled, layer_norm, linear,
+                     matmul, mlp, no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
 CHECKPOINT_VERSION = 2
+# the longest header line a load reads: a paper-scale header is 3.6 KB, and
+# each further layer adds about 0.7 KB
+HEADER_MAX_BYTES = 1 << 20
 
 
 @dataclass
@@ -171,11 +174,20 @@ class TransformerModel:
                        for n, v in zip(names, np.split(self.flat, np.cumsum(sizes)[:-1]))}
         if seed is None:
             return
+        # Glorot U(-limit, limit) as Generator.uniform computes it, low +
+        # (high - low) * u, drawn in place: into the parameter's view when it
+        # is contiguous, else (a per-head column block) into one buffer
         rng = np.random.default_rng(seed)
-        for name, cols in draws:        # each block drawn into its own view
+        head_block = np.empty((config.d_model, config.d_model // config.n_heads))
+        for name, cols in draws:
             block = self.params[name].data[:, cols]
             limit = math.sqrt(6.0 / sum(block.shape))
-            block[...] = rng.uniform(-limit, limit, size=block.shape)
+            out = block if block.flags.c_contiguous else head_block
+            rng.random(out=out)
+            out *= 2.0 * limit
+            out += -limit
+            if out is not block:
+                block[...] = out
         for name, t in self.params.items():
             if name.endswith(".gamma"):
                 t.data[...] = 1.0
@@ -415,7 +427,10 @@ def load_checkpoint(path):
     except OSError as e:
         raise DataError(f"cannot open checkpoint {path}: {e}") from e
     with f:
-        header_line = f.readline()
+        header_line = f.readline(HEADER_MAX_BYTES + 1)
+        if len(header_line) > HEADER_MAX_BYTES:
+            raise DataError(f"not a checkpoint file: {path} (no header line "
+                            f"within {HEADER_MAX_BYTES} bytes)")
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -444,8 +459,8 @@ def load_checkpoint(path):
             raise DataError("checkpoint truncated")
         if f.read(1):
             raise DataError("checkpoint has bytes after the last parameter buffer")
-        if not np.isfinite(model.flat).all():
-            name = next(n for n, t in model.params.items() if not np.isfinite(t.data).all())
+        if not all_finite(model.flat):
+            name = next(n for n, t in model.params.items() if not all_finite(t.data))
             raise DataError(f"checkpoint parameter {name} holds non-finite values")
     norm = None
     if header["normalizer"] is not None:

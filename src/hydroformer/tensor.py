@@ -69,12 +69,17 @@ class Tensor:
         return self.data.shape
 
 
-def _check_finite(arr, opname):
-    """NumericError unless every element of arr is finite. A finite sum of
-    squares, one BLAS dot, rules out NaN and inf in one pass; only a
+def all_finite(arr) -> bool:
+    """Whether every element of arr is finite. A finite sum of squares, one
+    BLAS dot with no temporary, rules out NaN and inf in one pass; only a
     non-finite one, which finite values above about 1e154 can also give by
     overflowing (a dot does not warn), is checked element by element."""
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def _check_finite(arr, opname):
+    """NumericError unless every element of arr is finite."""
+    if not all_finite(arr):
         raise NumericError(f"{opname} produced non-finite values")
 
 

@@ -20,7 +20,7 @@ from .data import TARGET_INDEX, WindowedDataset
 from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricReport
 from .model import ModelConfig, TransformerModel
-from .tensor import backward, mse, no_grad, scale, Tensor
+from .tensor import Tensor, all_finite, backward, mse, no_grad, scale
 
 # Bytes one sub-batch's graph may keep alive for backward.
 TAPE_BUDGET_BYTES = 4 << 20
@@ -71,8 +71,8 @@ class Adam:
 
     def step(self, lr: float) -> None:
         g = self.grad
-        if not np.isfinite(g).all():
-            name = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
+        if not all_finite(g):
+            name = next(n for n, p in self.params.items() if not all_finite(p.grad))
             raise NumericError(f"non-finite gradient for parameter {name}")
         self.step_count += 1
         t = self.step_count

@@ -8,16 +8,21 @@ chains that the fused tape ops must equal bit for bit (head_mix,
 ref_attention_core, ref_mlp, ref_layer_norm_backward). The Shapley
 references walk coalitions one at a time through a per-call dict cache.
 ref_adam_step updates parameters tensor by tensor, with per-name moments.
+ref_write_table and ref_cell_values are the per-cell CSV writer and row
+parser; ref_glorot_flat draws a model's initial weights with
+Generator.uniform, block by block in _layout's order.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from hydroformer.attention import topk_mask
-from hydroformer.data import TARGET_INDEX
+from hydroformer.data import FEATURE_COLUMNS, TARGET_INDEX
 from hydroformer.errors import ConfigError, NumericError, ShapeError
 from hydroformer.explain import EXACT_CAP, Explanation
+from hydroformer.model import _layout
 from hydroformer.tensor import (Tensor, _make, _merge_heads, _same_batch, _split_heads,
                                 activation, head_scores, linear, masked_softmax, no_grad)
 
@@ -303,3 +308,50 @@ def ref_sampled_shapley(vf, m: int, seed: int = 0) -> Explanation:
                        fx=_ref_masked_value(vf, (1 << n) - 1, cache),
                        estimator="sampled", std_errors=se, n_evaluations=len(cache),
                        feature_names=vf.feature_names)
+
+
+def ref_write_table(series, path):
+    """The data file through csv.writer, with one np.isnan and one float()
+    per cell: a float as its repr, NaN as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["date"] + list(FEATURE_COLUMNS))
+        for d, row in zip(series.dates, series.values):
+            writer.writerow([d.isoformat()] + ["" if np.isnan(v) else repr(float(v))
+                                               for v in row])
+
+
+def ref_cell_values(cells):
+    """One row's value cells parsed one by one: (values, None), an empty or
+    whitespace-only cell as NaN; or (None, (cell, column)) for the first cell
+    that is neither empty nor a finite number."""
+    vals = []
+    for name, cell in zip(FEATURE_COLUMNS, cells):
+        if cell.strip() == "":
+            vals.append(math.nan)
+            continue
+        try:
+            val = float(cell)
+        except ValueError:
+            return None, (cell, name)
+        if not math.isfinite(val):
+            return None, (cell, name)
+        vals.append(val)
+    return vals, None
+
+
+def ref_glorot_flat(config, seed):
+    """A seeded model's parameter vector: every block of _layout's draws made
+    with rng.uniform(-limit, limit) into its own array, layer-norm gammas
+    one, the arrays joined in sorted-name order."""
+    shapes, draws = _layout(config)
+    arrays = {name: np.zeros(shape) for name, shape in shapes.items()}
+    rng = np.random.default_rng(seed)
+    for name, cols in draws:
+        shape = arrays[name][:, cols].shape
+        limit = math.sqrt(6.0 / sum(shape))
+        arrays[name][:, cols] = rng.uniform(-limit, limit, size=shape)
+    for name, arr in arrays.items():
+        if name.endswith(".gamma"):
+            arr[...] = 1.0
+    return np.concatenate([arrays[name].ravel() for name in sorted(arrays)])

@@ -613,6 +613,38 @@ def test_train_on_unreadable_data_makes_no_run_directory(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _sparse_file(path, head, size):
+    """head, then zero bytes to size, which take no disk blocks."""
+    with open(path, "wb") as f:
+        f.write(head)
+        f.truncate(size)
+    return path
+
+
+def test_newline_free_checkpoint_costs_only_its_header_cap(tmp_path, capsys):
+    """A checkpoint header is one line; a file with no newline in its first
+    HEADER_MAX_BYTES is refused after reading that many bytes."""
+    ckpt = _sparse_file(tmp_path / "zeros.bin", b"", 200 << 20)
+    argv = ["predict", "--checkpoint", str(ckpt), "--data", str(tmp_path / "unread.csv")]
+    rc, _, peak = traced(lambda: cli.main(argv))
+    assert rc == cli.EXIT_DATA
+    assert peak < 4 << 20, peak
+    _assert_one_line_error(capsys, "data error: not a checkpoint file", str(ckpt))
+
+
+def test_oversized_config_costs_only_its_size_cap(tmp_path, capsys):
+    """A data file passed as the config: refused after CONFIG_MAX_BYTES, before
+    its first line is parsed."""
+    header = ",".join(("date",) + D.FEATURE_COLUMNS).encode() + b"\r\n"
+    cfgfile = _sparse_file(tmp_path / "data.csv", header, 200 << 20)
+    argv = ["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")]
+    rc, _, peak = traced(lambda: cli.main(argv))
+    assert rc == cli.EXIT_CONFIG
+    assert peak < 4 << 20, peak
+    _assert_one_line_error(capsys, "config error: ", str(cfgfile), "not a config file")
+    assert not (tmp_path / "run").exists()
+
+
 def _assert_one_line_error(capsys, *parts):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

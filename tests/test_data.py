@@ -1,10 +1,15 @@
 import datetime
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydroformer import data as D
 from hydroformer.errors import ConfigError, DataError
+
+from _oracles import ref_cell_values, ref_write_table
 
 
 def _write_csv(path, rows, header=None):
@@ -67,6 +72,68 @@ class TestLoadTable:
         back = D.load_table(p)
         assert np.array_equal(back.values, series.values)
         assert back.dates == series.dates
+
+
+    def test_mixed_row_loads_as_the_per_cell_loop(self, tmp_path):
+        """Empty and whitespace-only cells are missing; float() reads
+        " 2.5 " and "1_000"; a row whose finite values overflow a sum loads
+        as it is."""
+        cells = ["", "   ", " 2.5 ", "1_000", "-0.0", "5e-324"] + ["1.5"] * 13
+        big = ["1e308"] * 19
+        p = tmp_path / "mixed.csv"
+        _write_csv(p, [["2000-01-01"] + cells, ["2000-01-02"] + big])
+        values = D.load_table(p).values
+        for got, row in zip(values, (cells, big)):
+            want, bad = ref_cell_values(row)
+            assert bad is None
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", [1, 7, 18])
+    @pytest.mark.parametrize("empty_before", [False, True])
+    def test_bad_cell_after_a_valid_one_names_line_and_column(self, tmp_path, cell, column,
+                                                               empty_before):
+        row = _row("2000-01-02")
+        row[1 + column] = cell
+        if empty_before:
+            row[column] = ""
+        p = tmp_path / "bad.csv"
+        _write_csv(p, [_row("2000-01-01"), row, _row("2000-01-03")])
+        _, (bad_cell, name) = ref_cell_values([str(c) for c in row[1:]])
+        with pytest.raises(DataError) as e:
+            D.load_table(p)
+        assert str(e.value) == f"{p}:3: bad value {bad_cell!r} in {name}"
+
+
+# values the writer must spell as repr does and the reader must parse back
+# bit for bit: signed zero, subnormals, repr's switch to exponent notation
+# (1e16, 1e-5) and the ends of the exponent range
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5,
+                1e300, -1e300, 1e-300, -1e-300, math.nan]
+_CELLS = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_infinity=False))
+_ROWS = st.one_of(st.lists(_CELLS, min_size=19, max_size=19),
+                  st.just([math.nan] * 19))
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_ROWS, min_size=1, max_size=6),
+           start=st.dates(min_value=datetime.date(1900, 1, 1),
+                          max_value=datetime.date(2100, 1, 1)))
+    def test_bytes_of_the_per_cell_writer_and_read_back_bit_for_bit(self, tmp_path_factory,
+                                                                     rows, start):
+        root = tmp_path_factory.mktemp("table")
+        series = D.RawSeries(dates=[start + datetime.timedelta(days=i)
+                                    for i in range(len(rows))],
+                             values=np.array(rows, dtype=np.float64))
+        D.write_table(series, root / "new.csv")
+        ref_write_table(series, root / "ref.csv")
+        assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+        back = D.load_table(root / "new.csv")
+        assert back.dates == series.dates
+        gaps = np.isnan(series.values)
+        assert np.array_equal(np.isnan(back.values), gaps)
+        assert back.values[~gaps].tobytes() == series.values[~gaps].tobytes()
 
 
 class TestFillMissing:

@@ -17,7 +17,7 @@ from hydroformer.tensor import Tensor, add, backward, layer_norm, matmul, mse, s
 from hydroformer.training import TrainConfig, fit
 
 from _memory import traced
-from _oracles import ref_layer_norm, ref_positional_table, ref_rollout
+from _oracles import ref_glorot_flat, ref_layer_norm, ref_positional_table, ref_rollout
 
 
 def tiny_config(**kw):
@@ -611,6 +611,17 @@ class TestParameters:
                 assert np.array_equal(block, glorot(d, d_head))
         assert np.array_equal(model.params["enc.0.attn.wo"].data, glorot(d, d))
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig.desk_scale(attention_mode="sparse", output_head="nonlinear", lookback=30,
+                               horizon=7),
+        ModelConfig(attention_mode="sparse", output_head="nonlinear", lookback=30, horizon=7),
+        ModelConfig.desk_scale(d_model=30, n_heads=3, output_head="nonlinear"),
+    ], ids=["desk", "paper", "odd"])
+    def test_flat_equals_the_uniform_draws(self, cfg, seed):
+        flat = TransformerModel(cfg, seed=seed).flat
+        assert flat.tobytes() == ref_glorot_flat(cfg, seed).tobytes()
+
     def test_load_state_shape_guard(self):
         model = TransformerModel(tiny_config(), seed=18)
         state = model.state_arrays()
@@ -680,6 +691,16 @@ class TestParameterVector:
         nbytes = build_save_load()      # untraced: first-use imports and caches
         _, _, peak = traced(build_save_load)
         assert peak < 1.5 * nbytes, (peak, nbytes)
+
+
+    def test_load_peak_is_the_parameter_vector(self, tmp_path):
+        """A paper-scale load allocates the parameter vector and no
+        temporary of its size: the finite check makes none."""
+        path = tmp_path / "c.bin"
+        save_checkpoint(TransformerModel(ModelConfig(), seed=None), None, path)
+        nbytes = load_checkpoint(path)[0].flat.nbytes
+        _, _, peak = traced(lambda: load_checkpoint(path))
+        assert peak < nbytes + (1 << 20), (peak, nbytes)
 
 
 class TestCheckpoint:

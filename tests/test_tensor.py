@@ -712,6 +712,22 @@ class TestFiniteGuard:
             else:
                 T._check_finite(arr, "op")
 
+    @settings(max_examples=200, deadline=None)
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                       max_side=4)))
+    @example(arr=np.array([np.nan, 1.0]))
+    @example(arr=np.array([[1.0, np.inf], [-np.inf, 2.0]]))
+    @example(arr=np.array([1e200, -3e154, 2.0]))      # squares overflow, values finite
+    @example(arr=np.array([1e300, np.nan]))
+    def test_all_finite_agrees_with_isfinite(self, arr):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert T.all_finite(arr) is bool(np.isfinite(arr).all())
+
+    def test_all_finite_makes_no_temporary(self):
+        arr = np.ones(1 << 17)
+        _, _, peak = traced(lambda: T.all_finite(arr))
+        assert peak < 4096, peak
+
     def test_overflow_raises(self):
         big = t([[1e308]])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
