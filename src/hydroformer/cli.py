@@ -61,12 +61,11 @@ def _parse_optional_int(text):
 _FIELD_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
                   int | None: _parse_optional_int}
 
-# One key per ModelConfig and TrainConfig field, except model.n_features, which
-# the CSV schema fixes, and train.seed, which the top-level seed key sets.
+# One key per ModelConfig and TrainConfig field, except train.seed, which the
+# top-level seed key sets.
 _KEY_PARSERS = {f"{section}.{f.name}": _FIELD_PARSERS[f.type]
                 for section, cls in (("model", ModelConfig), ("train", TrainConfig))
-                for f in fields(cls)
-                if f"{section}.{f.name}" not in ("model.n_features", "train.seed")}
+                for f in fields(cls) if f"{section}.{f.name}" != "train.seed"}
 _KEY_PARSERS.update({"data.path": str, "seed": int})
 
 
@@ -178,14 +177,10 @@ def cmd_train(args) -> int:
 
 
 def _load_for_data(path, action):
-    """A checkpoint whose model and normalizer fit the CSV schema."""
+    """A checkpoint that carries the normalizer its data files need."""
     model, normalizer = load_checkpoint(path)
     if normalizer is None:
         raise DataError(f"checkpoint carries no normalizer; cannot {action}")
-    if model.config.n_features != len(data_mod.FEATURE_COLUMNS):
-        raise DataError(f"checkpoint model takes {model.config.n_features} features, "
-                        f"the data files have {len(data_mod.FEATURE_COLUMNS)}; "
-                        f"cannot {action}")
     return model, normalizer
 
 
@@ -246,7 +241,7 @@ def cmd_explain(args) -> int:
     vfs = [explain_mod.model_value_function(model, normalizer, test.windows[i], lead=args.lead)
            for i in indices]
     if args.estimator == "exact":
-        explain_mod.check_exact_cap(model.config.n_features, args.allow_large_exact)
+        explain_mod.check_exact_cap(len(data_mod.FEATURE_COLUMNS), args.allow_large_exact)
     out = _outdir(args.out)
     explanations = []
     for i, vf in zip(indices, vfs):

@@ -11,13 +11,13 @@ from dataclasses import dataclass, fields, asdict
 import numpy as np
 
 from .attention import default_k, multi_head
-from .data import TARGET_INDEX, Normalizer
+from .data import FEATURE_COLUMNS, TARGET_INDEX, Normalizer
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .tensor import (ACTIVATIONS, Tensor, all_finite, grad_enabled, layer_norm, linear,
-                     matmul, mlp, no_grad, swap_leading)
+from .tensor import (Tensor, all_finite, grad_enabled, layer_norm, linear, matmul, mlp,
+                     no_grad, swap_leading)
 
 CHECKPOINT_MAGIC = "hydroformer-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # the longest header line a load reads: a paper-scale header is 3.6 KB, and
 # each further layer adds about 0.7 KB
 HEADER_MAX_BYTES = 1 << 20
@@ -26,7 +26,9 @@ HEADER_MAX_BYTES = 1 << 20
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters. Defaults follow the published
-    configuration; desk_scale() gives a small variant for fast runs."""
+    configuration; desk_scale() gives a small variant for fast runs. The
+    nonlinear head is the tanh sandwich, and the input width is the CSV
+    schema's, len(FEATURE_COLUMNS)."""
     d_model: int = 512
     n_heads: int = 8
     n_encoder_layers: int = 1
@@ -35,14 +37,12 @@ class ModelConfig:
     attention_mode: str = "dense"          # "dense" | "sparse"
     k_sparse: int | None = None            # None -> ceil(L/4) at runtime
     output_head: str = "linear"            # "linear" | "nonlinear"
-    head_activation: str = "tanh"
-    n_features: int = 19
     lookback: int = 30
     horizon: int = 1
 
     def __post_init__(self):
         for name in ("d_model", "n_heads", "n_encoder_layers", "n_decoder_layers",
-                     "d_ffn", "n_features", "lookback", "horizon"):
+                     "d_ffn", "lookback", "horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
@@ -51,9 +51,6 @@ class ModelConfig:
             raise ConfigError(f"attention_mode must be dense or sparse, got {self.attention_mode!r}")
         if self.output_head not in ("linear", "nonlinear"):
             raise ConfigError(f"output_head must be linear or nonlinear, got {self.output_head!r}")
-        if self.head_activation not in ACTIVATIONS:
-            raise ConfigError(f"head_activation must be one of {ACTIVATIONS}, "
-                              f"got {self.head_activation!r}")
         if self.k_sparse is not None and self.k_sparse < 1:
             raise ConfigError("k_sparse must be >= 1")
 
@@ -113,7 +110,7 @@ def _layout(c: ModelConfig):
         weight(f"{prefix}.w2", f, d)
         shapes.update({f"{prefix}.b1": (f,), f"{prefix}.b2": (d,)})
 
-    weight("enc_embed.w", c.n_features, d)
+    weight("enc_embed.w", len(FEATURE_COLUMNS), d)
     weight("dec_embed.w", 1, d)
     norms = [f"enc.{i}.ln{j}" for i in range(c.n_encoder_layers) for j in (1, 2)]
     norms += [f"dec.{i}.ln{j}" for i in range(c.n_decoder_layers) for j in (1, 2, 3)]
@@ -160,7 +157,7 @@ class TransformerModel:
     or horizon. Seed None leaves the vector zero with no RNG draw, for
     callers that overwrite it (load_checkpoint).
 
-    The forward pieces take one sample (L x n_features window, H x 1 decoder
+    The forward pieces take one sample (L x 19 window, H x 1 decoder
     input) or a batch of them stacked on a leading axis.
     """
 
@@ -230,9 +227,9 @@ class TransformerModel:
         """Window rows @ W plus their positional rows, which broadcast over
         a batch."""
         x = window if isinstance(window, Tensor) else Tensor(window)
-        if x.data.ndim not in (2, 3) or x.data.shape[-1] != self.config.n_features:
-            raise ShapeError(f"window shape {x.data.shape}: need L x n_features "
-                             f"(n_features {self.config.n_features}), optionally batched")
+        if x.data.ndim not in (2, 3) or x.data.shape[-1] != len(FEATURE_COLUMNS):
+            raise ShapeError(f"window shape {x.data.shape}: need L x "
+                             f"{len(FEATURE_COLUMNS)} features, optionally batched")
         pe = positions(x.data.shape[-2], self.config.d_model)
         return self._linear("enc_embed", x, Tensor(pe))
 
@@ -305,10 +302,10 @@ class TransformerModel:
     def output_head(self, d: Tensor) -> Tensor:
         if self.config.output_head == "linear":
             return self._linear("head", d, self.params["head.b"])
-        return self._mlp("head", d, self.config.head_activation)
+        return self._mlp("head", d, "tanh")
 
     def forward(self, window, decoder_in) -> Tensor:
-        """Teacher-forced forward: window is lookback x n_features, decoder_in
+        """Teacher-forced forward: window is lookback x 19, decoder_in
         is H x 1 target-channel values; returns H x 1 predictions. With a
         leading batch axis on both inputs, returns B x H x 1."""
         memory = self.encoder_forward(self.embed_encoder(window))
@@ -401,14 +398,15 @@ def _config_from_header(config) -> ModelConfig:
         raise DataError(f"checkpoint config: {e}") from e
 
 
-def _normalizer_from_header(entry, n_features: int) -> Normalizer:
+def _normalizer_from_header(entry) -> Normalizer:
     try:
         norm = Normalizer.from_dict(entry)
     except (TypeError, KeyError, ValueError) as e:
         raise DataError(f"checkpoint normalizer is malformed: {e}") from e
-    if norm.mean.shape != (n_features,) or norm.std.shape != (n_features,):
+    n = len(FEATURE_COLUMNS)
+    if norm.mean.shape != (n,) or norm.std.shape != (n,):
         raise DataError(f"checkpoint normalizer: mean/std shapes {norm.mean.shape}, "
-                        f"{norm.std.shape} do not match n_features {n_features}")
+                        f"{norm.std.shape} do not match the {n} features")
     bad = np.flatnonzero(~(np.isfinite(norm.mean) & np.isfinite(norm.std) & (norm.std > 0)))
     if bad.size:
         raise DataError(f"checkpoint normalizer: feature(s) {bad.tolist()} need a finite "
@@ -438,7 +436,9 @@ def load_checkpoint(path):
         if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
             raise DataError(f"not a checkpoint file: {path}")
         if header.get("format_version") != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {header.get('format_version')}")
+            raise DataError(f"unsupported checkpoint format version "
+                            f"{header.get('format_version')!r}; this build reads "
+                            f"version {CHECKPOINT_VERSION}")
         missing = [k for k in ("config", "normalizer", "params") if k not in header]
         if missing:
             raise DataError(f"checkpoint header lacks {missing}")
@@ -464,7 +464,7 @@ def load_checkpoint(path):
             raise DataError(f"checkpoint parameter {name} holds non-finite values")
     norm = None
     if header["normalizer"] is not None:
-        norm = _normalizer_from_header(header["normalizer"], model.config.n_features)
+        norm = _normalizer_from_header(header["normalizer"])
     return model, norm
 
 

@@ -20,19 +20,12 @@ import numpy as np
 from . import kernels
 from .errors import NumericError, ShapeError
 
-_LEAKY_SLOPE = 0.01
-
-# kind -> (y(x), dy/dx from the input x or the output y). Ops call the slope
-# in backward, so a no_grad pass never computes it.
+# kind -> (y(x), dy/dx from the input x or the output y): the FFN's relu and
+# the nonlinear head's tanh. Ops call the slope in backward, so a no_grad
+# pass never computes it.
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
     "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(x.dtype)),
-    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, y: y * (1.0 - y)),
-    "leaky_relu": (lambda x: np.where(x > 0, x, _LEAKY_SLOPE * x),
-                   lambda x, y: np.where(x > 0, 1.0, _LEAKY_SLOPE)),
-    "elu": (lambda x: np.where(x > 0, x, np.expm1(x)),
-            lambda x, y: np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))),
-    "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: 1.0 / (1.0 + np.exp(-x))),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 

@@ -1,5 +1,6 @@
 """Mini-batch Adam training with teacher forcing, early stopping on
-validation loss, and per-epoch loss-curve logging.
+validation loss, and per-epoch loss-curve logging. Each epoch visits the
+training windows in a fresh seeded permutation.
 
 Samples go through the model as stacked sub-batches (B x L x F windows), one
 graph each; a mini-batch's gradients accumulate across its sub-batches. The
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TARGET_INDEX, WindowedDataset
+from .data import FEATURE_COLUMNS, TARGET_INDEX, WindowedDataset
 from .errors import ConfigError, DataError, NumericError
 from .metrics import MetricReport
 from .model import ModelConfig, TransformerModel
@@ -34,17 +35,13 @@ class TrainConfig:
     learning_rate: float = 1e-4
     max_epochs: int = 50
     early_stop_patience: int = 5
-    min_delta: float = 0.0
     seed: int = 0
-    shuffle_train: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.early_stop_patience < 1:
             raise ConfigError("batch_size, max_epochs, and patience must be positive")
         if not 0 <= self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not 0 <= self.min_delta < np.inf:
-            raise ConfigError(f"min_delta must be finite and >= 0, got {self.min_delta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -107,20 +104,20 @@ class LossCurve:
 
 
 class EarlyStopper:
-    """Stop once the count of consecutive epochs without an improvement of
-    more than min_delta exceeds the patience budget (patience=1 tolerates one
-    bad epoch and stops on the second)."""
+    """Stop once the count of consecutive epochs without an improvement
+    exceeds the patience budget (patience=1 tolerates one bad epoch and stops
+    on the second). An epoch improves when its validation loss is strictly
+    below the best so far; an equal loss counts as a bad epoch."""
 
-    def __init__(self, patience: int, min_delta: float = 0.0):
+    def __init__(self, patience: int):
         self.patience = patience
-        self.min_delta = min_delta
         self.best = np.inf
         self.best_epoch = -1
         self.bad_epochs = 0
 
     def update(self, epoch: int, val_loss: float) -> bool:
         """Record one epoch; returns True when training should stop."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best:
             self.best = val_loss
             self.best_epoch = epoch
             self.bad_epochs = 0
@@ -162,7 +159,7 @@ def tape_bytes_per_sample(config: ModelConfig) -> int:
         return rows * f + 3 * rows * d + rows
 
     head = H * (d + 1) if c.output_head == "nonlinear" else H
-    values = (L * c.n_features + 2 * H                  # window, decoder input, targets
+    values = (L * len(FEATURE_COLUMNS) + 2 * H          # window, decoder input, targets
               + L * d + H * d                           # embeddings
               + c.n_encoder_layers * (attn(L, L) + ffn(L))
               + c.n_decoder_layers * (attn(H, H) + attn(H, L) + ffn(H))
@@ -222,9 +219,11 @@ def _split_loss(model, samples, target_index) -> float:
 
 def fit(model: TransformerModel, dataset: WindowedDataset,
         cfg: TrainConfig) -> LossCurve:
-    """Train in place; returns the loss curve. Weights from the epoch with
-    the best validation loss are restored on exit. Every parameter's .grad
-    is None on return, as it is if training raises."""
+    """Train in place; returns the loss curve. Every epoch draws a fresh
+    permutation of the training windows from a generator seeded with
+    cfg.seed and runs it in mini-batches of cfg.batch_size. Weights from the
+    epoch with the best validation loss are restored on exit. Every
+    parameter's .grad is None on return, as it is if training raises."""
     train = dataset.split("train")
     val = dataset.split("val")
     if len(train.windows) == 0 or len(val.windows) == 0:
@@ -234,7 +233,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                           f"{model.config.horizon}")
 
     rng = np.random.default_rng(cfg.seed)
-    stopper = EarlyStopper(cfg.early_stop_patience, cfg.min_delta)
+    stopper = EarlyStopper(cfg.early_stop_patience)
     curve = LossCurve()
     best_state = model.flat.copy()
 
@@ -243,7 +242,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
     optimizer = Adam(model.params, model.flat)
     try:
         for epoch in range(cfg.max_epochs):
-            order = rng.permutation(n) if cfg.shuffle_train else np.arange(n)
+            order = rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start: start + cfg.batch_size]

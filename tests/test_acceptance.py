@@ -75,8 +75,8 @@ def test_criterion_01_gradient_integrity():
     op_reports.append(grad_check(
         lambda ts: mse(layer_norm(ts[0], ts[1], ts[2]), Tensor(np.zeros((3, 6)))),
         [x, g, bt]))
-    # the model's FFN and nonlinear-head op with each head activation
-    for act in ("tanh", "relu", "sigmoid"):
+    # the model's FFN (relu) and nonlinear-head (tanh) op
+    for act in ("tanh", "relu"):
         op_reports.append(grad_check(
             lambda ts, act=act: mse(mlp(*ts, act), Tensor(np.zeros((3, 2)))),
             [rng.standard_normal(shape) for shape in ((3, 4), (4, 5), (5,), (5, 2), (2,))]))

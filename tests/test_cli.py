@@ -17,7 +17,7 @@ import hydroformer
 from hydroformer import cli
 from hydroformer import data as D
 from hydroformer.errors import ConfigError, DataError
-from hydroformer.model import ModelConfig, TransformerModel, load_checkpoint, save_checkpoint
+from hydroformer.model import ModelConfig, load_checkpoint, save_checkpoint
 from hydroformer.training import TrainConfig
 
 from _memory import traced
@@ -82,13 +82,17 @@ class TestConfigParsing:
         assert cfg.train.batch_size == 8
         assert cfg.train.seed == 11
 
-    @pytest.mark.parametrize("line", ["data.lookback = 9", "data.horizon = 3"])
+    @pytest.mark.parametrize("line", ["data.lookback = 9", "data.horizon = 3",
+                                      "model.head_activation = tanh",
+                                      "train.shuffle_train = true", "train.min_delta = 0.0"])
     def test_data_section_model_aliases_rejected(self, line):
-        with pytest.raises(ConfigError, match="unknown key"):
-            cli.parse_config_text(line)
+        """Model keys under data, and the removed keys (the head is always
+        tanh, every epoch is shuffled, any lower loss is an improvement)."""
+        with pytest.raises(ConfigError, match="line 2: unknown key"):
+            cli.parse_config_text(f"seed = 1\n{line}")
 
     @pytest.mark.parametrize("text", ["seed = -1", "train.learning_rate = nan",
-                                      "train.learning_rate = inf", "train.min_delta = nan"])
+                                      "train.learning_rate = inf", "train.batch_size = 0"])
     def test_unusable_values_rejected(self, text):
         with pytest.raises(ConfigError):
             cli.build_run_config(cli.parse_config_text(text))
@@ -106,8 +110,9 @@ class TestConfigParsing:
     def test_keys_are_the_config_fields(self):
         keys = {f"model.{f.name}" for f in fields(ModelConfig)}
         keys |= {f"train.{f.name}" for f in fields(TrainConfig)}
-        keys -= {"model.n_features", "train.seed"}
+        keys -= {"train.seed"}
         assert set(cli._KEY_PARSERS) == keys | {"data.path", "seed"}
+        assert len(cli._KEY_PARSERS) == 16
 
 
 class TestDatagen:
@@ -198,6 +203,8 @@ def _resize_ffn(header, d_ffn):
     (lambda h: None, lambda b: b + b"\x00"),
     (lambda h: h["normalizer"]["mean"].pop(), bytes),
     (lambda h: h.update(format_version=1), bytes),
+    (lambda h: (h.update(format_version=2),
+                h["config"].update(head_activation="tanh", n_features=19)), bytes),
     (lambda h: None, lambda b: _NAN + b[8:]),
     (lambda h: None, lambda b: b[:-8] + _NEG_INF),
     (lambda h: h["normalizer"]["std"].__setitem__(D.TARGET_INDEX, math.inf), bytes),
@@ -210,7 +217,7 @@ def _resize_ffn(header, d_ffn):
     (lambda h: h["config"].update(n_encoder_layers=10**6), bytes),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "bool_config_value", "missing_config", "missing_params",
-        "missing_normalizer", "trailing_bytes", "normalizer_length", "v1_header",
+        "missing_normalizer", "trailing_bytes", "normalizer_length", "v1_header", "v2_header",
         "nan_first_param", "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
         "negative_normalizer_std", "zero_normalizer_std", "huge_d_model", "huge_d_ffn",
         "huge_config_and_manifest", "huge_layer_count"])
@@ -247,14 +254,31 @@ def test_numeric_error_names_the_layer(trained_run, tmp_path, capsys):
 ], ids=["predict", "evaluate", "explain"])
 def test_checkpoint_with_other_feature_count_is_data_error(trained_run, tmp_path, capsys,
                                                           command, extra):
-    cfg = ModelConfig(d_model=8, n_heads=1, d_ffn=16, lookback=4, horizon=2, n_features=5)
+    """The CSV schema fixes the input width, so a header that carries a
+    feature count is not this format's."""
+    header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    header["config"]["n_features"] = 5
     ckpt = tmp_path / "five.bin"
-    save_checkpoint(TransformerModel(cfg, seed=0),
-                    D.Normalizer(mean=np.zeros(5), std=np.ones(5)), ckpt)
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
     argv = [command, "--checkpoint", str(ckpt), "--data", str(trained_run["data"])]
     argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
     assert cli.main(argv) == cli.EXIT_DATA
-    assert "5 features" in capsys.readouterr().err
+    _assert_one_line_error(capsys, "data error: ", "unknown keys ['n_features']")
+    assert not (tmp_path / "out").exists()
+
+
+def test_v2_checkpoint_names_its_version(trained_run, tmp_path, capsys):
+    header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    assert header["format_version"] == 3
+    header["format_version"] = 2
+    header["config"].update(head_activation="tanh", n_features=19)
+    ckpt = tmp_path / "v2.bin"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--data", str(trained_run["data"])])
+    assert rc == cli.EXIT_DATA
+    _assert_one_line_error(capsys, "data error: ", "checkpoint format version 2")
 
 
 @pytest.mark.parametrize("lookback", [10**6, 10**9])
@@ -519,7 +543,7 @@ def test_config_text_fuzz(text):
     except (ConfigError, DataError):
         return
     assert cfg.train.seed >= 0
-    assert math.isfinite(cfg.train.learning_rate) and math.isfinite(cfg.train.min_delta)
+    assert math.isfinite(cfg.train.learning_rate)
     assert cli.build_run_config(cli.parse_config_text(cli.resolved_config_text(cfg))) == cfg
 
 

@@ -264,6 +264,25 @@ class TestMakeWindows:
         assert ds.normalizer is given
         self._assert_windows_match_source_rows(series, ds, 4, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lookback=st.integers(1, 12), horizon=st.integers(1, 8),
+           extra=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_windows_equal_their_source_rows_for_random_shapes(self, lookback, horizon,
+                                                               extra, seed):
+        """Random shapes; the shortest length gives the validation segment,
+        10% of the rows, one row more than a window and its targets."""
+        length = 10 * (lookback + horizon + 1) + extra
+        rng = np.random.default_rng(seed)
+        series = D.RawSeries(
+            dates=[D.SYNTH_START_DATE + datetime.timedelta(days=i) for i in range(length)],
+            values=rng.standard_normal((length, len(D.FEATURE_COLUMNS))))
+        ds = D.make_windows(series, lookback, horizon)
+        self._assert_windows_match_source_rows(series, ds, lookback, horizon)
+        for name in ("train", "val", "test"):
+            s = ds.split(name)
+            assert s.windows.shape[1:] == (lookback, len(D.FEATURE_COLUMNS))
+            assert s.targets.shape[1:] == (horizon,)
+
     def test_nan_rejected(self):
         series = D.synth_generate(seed=10, length=400)
         series.values[5, 2] = np.nan

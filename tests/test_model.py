@@ -1,3 +1,5 @@
+import hashlib
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,8 @@ from hydroformer.training import TrainConfig, fit
 from _memory import traced
 from _oracles import ref_glorot_flat, ref_layer_norm, ref_positional_table, ref_rollout
 
+N_FEATURES = len(D.FEATURE_COLUMNS)   # the CSV schema fixes the input width
+
 
 def tiny_config(**kw):
     base = dict(d_model=8, n_heads=1, d_ffn=16, lookback=6, horizon=2)
@@ -27,7 +31,7 @@ def tiny_config(**kw):
 
 
 def rand_window(rng, cfg):
-    return rng.standard_normal((cfg.lookback, cfg.n_features))
+    return rng.standard_normal((cfg.lookback, N_FEATURES))
 
 
 class TestModelConfig:
@@ -35,7 +39,14 @@ class TestModelConfig:
         cfg = ModelConfig()
         assert (cfg.d_model, cfg.n_heads, cfg.n_encoder_layers,
                 cfg.n_decoder_layers, cfg.d_ffn) == (512, 8, 1, 2, 2048)
-        assert cfg.n_features == 19
+        assert N_FEATURES == 19
+
+    def test_fields_are_what_a_run_can_change(self):
+        """The head is always tanh and the input width is the CSV schema's,
+        so neither is a field."""
+        assert [f.name for f in fields(ModelConfig)] == [
+            "d_model", "n_heads", "n_encoder_layers", "n_decoder_layers", "d_ffn",
+            "attention_mode", "k_sparse", "output_head", "lookback", "horizon"]
 
     def test_desk_scale(self):
         cfg = ModelConfig.desk_scale()
@@ -169,7 +180,7 @@ class TestDecoder:
         cfg = tiny_config(horizon=5, n_heads=2, attention_mode=mode)
         model = TransformerModel(cfg, seed=23)
         rng = np.random.default_rng(23)
-        windows = rng.standard_normal(batch + (cfg.lookback, cfg.n_features))
+        windows = rng.standard_normal(batch + (cfg.lookback, N_FEATURES))
         memory = model.encoder_forward(model.embed_encoder(windows))
         emb = model.embed_decoder(rng.standard_normal(batch + (5, 1)))
         out = model.decoder_forward(emb, model.cross_kv(memory))
@@ -204,7 +215,7 @@ class TestDecoder:
                           k_sparse=k)
         model = TransformerModel(cfg, seed=24)
         rng = np.random.default_rng(24)
-        windows = rng.standard_normal(batch + (cfg.lookback, cfg.n_features))
+        windows = rng.standard_normal(batch + (cfg.lookback, N_FEATURES))
         dec = rng.standard_normal(batch + (5, 1))
         with tensor_mod.no_grad():
             memory_kv = model.cross_kv(model.encoder_forward(model.embed_encoder(windows)))
@@ -239,7 +250,7 @@ class TestDecoder:
         cfg = tiny_config(horizon=3)
         model = TransformerModel(cfg, seed=9)
         rng = np.random.default_rng(9)
-        windows = rng.standard_normal((4, cfg.lookback, cfg.n_features))
+        windows = rng.standard_normal((4, cfg.lookback, N_FEATURES))
         dec = rng.standard_normal((4, 3, 1))
         emb = model.embed_decoder(dec)
         assert emb.data.shape == (3, 4, 8)
@@ -265,11 +276,10 @@ class TestOutputHead:
     def test_nonlinear_hidden_strictly_bounded(self):
         cfg = tiny_config(output_head="nonlinear")
         model = TransformerModel(cfg, seed=7)
-        from hydroformer.tensor import activation, add_bias, matmul
-        d = Tensor(np.random.default_rng(7).standard_normal((5, 8)) * 3)
-        hidden = activation(add_bias(matmul(d, model.params["head.w1"]),
-                                     model.params["head.b1"]), "tanh")
-        assert np.max(np.abs(hidden.data)) < 1.0
+        p = {n: t.data for n, t in model.params.items()}
+        d = np.random.default_rng(7).standard_normal((5, 8)) * 3
+        hidden = np.tanh(d @ p["head.w1"] + p["head.b1"])
+        assert np.max(np.abs(hidden)) < 1.0
 
     def test_linear_head_zero_input_gives_bias(self):
         cfg = tiny_config()
@@ -278,9 +288,14 @@ class TestOutputHead:
         out = model.output_head(Tensor(np.zeros((3, 8))))
         assert np.allclose(out.data, 2.25, atol=1e-15)
 
-    def test_unknown_activation_rejected_at_forward(self):
-        with pytest.raises(ConfigError, match="head_activation"):
-            tiny_config(output_head="nonlinear", head_activation="swish")
+    def test_nonlinear_head_is_the_tanh_sandwich(self):
+        model = TransformerModel(tiny_config(output_head="nonlinear"), seed=9)
+        p = {n: t.data for n, t in model.params.items()}
+        d = np.random.default_rng(9).standard_normal((2, 5, 8)) * 2
+        want = np.tanh(d @ p["head.w1"] + p["head.b1"]) @ p["head.w2"] + p["head.b2"]
+        got = model.output_head(Tensor(d)).data
+        assert got.shape == (2, 5, 1)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestForward:
@@ -391,7 +406,7 @@ class TestForward:
         make = tensor_mod._make
         monkeypatch.setattr(tensor_mod, "_make", lambda *a: calls.append(a[3]) or make(*a))
         rng = np.random.default_rng(14)
-        windows = rng.standard_normal((8, cfg.lookback, cfg.n_features))
+        windows = rng.standard_normal((8, cfg.lookback, N_FEATURES))
         model.predict(windows[0], 1)
         assert len(calls) == 39, calls
         calls.clear()
@@ -428,7 +443,7 @@ def test_batched_step_matches_summed_per_sample_graphs(batch, n_heads, mode, loo
                       k_sparse=k if mode == "sparse" else None, output_head=head)
     model = TransformerModel(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    windows = rng.standard_normal((batch, lookback, cfg.n_features))
+    windows = rng.standard_normal((batch, lookback, N_FEATURES))
     decs = rng.standard_normal((batch, horizon, 1))
     targets = rng.standard_normal((batch, horizon, 1))
     out, grads = _step(model, windows, decs, targets)
@@ -496,13 +511,13 @@ class TestPredict:
 
         monkeypatch.setattr(TransformerModel, "_mlp", counting)
         model.predict(np.random.default_rng(26).standard_normal(
-            batch + (cfg.lookback, cfg.n_features)), 7)
+            batch + (cfg.lookback, N_FEATURES)), 7)
         assert [seen["dec.0.ffn"], seen["dec.1.ffn"]] == rows
 
     def test_one_window_or_a_stack(self):
         cfg = tiny_config(horizon=3)
         model = TransformerModel(cfg, seed=16)
-        windows = np.random.default_rng(16).standard_normal((4, cfg.lookback, cfg.n_features))
+        windows = np.random.default_rng(16).standard_normal((4, cfg.lookback, N_FEATURES))
         assert model.predict(windows[0], 3).shape == (3, 1)
         assert model.predict(windows, 3).shape == (4, 3, 1)
         assert model.predict(windows[:1], 2).shape == (1, 2, 1)
@@ -526,7 +541,7 @@ def test_batched_predict_matches_per_window_rollout(batch, n_heads, mode, k, hea
                       n_decoder_layers=n_decoder_layers, attention_mode=mode,
                       k_sparse=k if mode == "sparse" else None, output_head=head)
     model = TransformerModel(cfg, seed=seed)
-    windows = np.random.default_rng(seed).standard_normal((batch, 6, cfg.n_features))
+    windows = np.random.default_rng(seed).standard_normal((batch, 6, N_FEATURES))
     h = steps.draw(st.integers(1, horizon))
     stacked = model.predict(windows, h)
     assert stacked.shape == (batch, h, 1)
@@ -558,7 +573,7 @@ def test_predict_projects_memory_once_per_rollout(monkeypatch, horizon, n_decode
     monkeypatch.setattr(TransformerModel, "encoder_forward", keep_memory)
     monkeypatch.setattr(model_mod, "matmul", counting)
     monkeypatch.setattr(attention_mod, "matmul", counting)
-    windows = np.random.default_rng(22).standard_normal((3, cfg.lookback, cfg.n_features))
+    windows = np.random.default_rng(22).standard_normal((3, cfg.lookback, N_FEATURES))
     for x in (windows, windows[0]):
         reads.clear()
         model.predict(x, horizon)
@@ -575,7 +590,7 @@ class TestParameters:
         enc = cfg.n_encoder_layers * (mha + ffn + 2 * ln)
         dec = cfg.n_decoder_layers * (2 * mha + ffn + 3 * ln)
         head = (d + 1) if cfg.output_head == "linear" else (d * d + d + d + 1)
-        return cfg.n_features * d + d + enc + dec + head
+        return N_FEATURES * d + d + enc + dec + head
 
     @pytest.mark.parametrize("cfg", [
         tiny_config(),
@@ -603,7 +618,7 @@ class TestParameters:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-        glorot(cfg.n_features, d)   # enc_embed.w
+        glorot(N_FEATURES, d)       # enc_embed.w
         glorot(1, d)                # dec_embed.w
         for h in range(cfg.n_heads):
             for w in ("wq", "wk", "wv"):
@@ -739,8 +754,12 @@ class TestCheckpoint:
         norm = D.Normalizer(mean=np.arange(19.0), std=np.linspace(0.5, 2.0, 19))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(TransformerModel(cfg, seed=19), norm, path)
-        assert checkpoint_digest(path) == ("7924fd42ff3e25f5ab38a096dcc5ee90"
-                                           "00184980cbfd745b3923f15c8e7fa882")
+        assert checkpoint_digest(path) == ("58b1d539285a876bc8cb2f88101a1ed1"
+                                           "1da95273e965cc2dcf47f016ba6f9900")
+        # the parameter bytes after the header line, as format version 2 wrote them
+        body = path.read_bytes().partition(b"\n")[2]
+        assert hashlib.sha256(body).hexdigest() == ("be0a12e462882f94aebad95c982a787b"
+                                                    "fb503fb5ddcc8718e6bc1b62681ccd27")
 
     def test_digest_stable_across_saves(self, tmp_path):
         model = TransformerModel(tiny_config(), seed=20)

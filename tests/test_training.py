@@ -17,6 +17,8 @@ from hydroformer.training import (FORWARD_BUDGET_BYTES, TAPE_BUDGET_BYTES, Adam,
 from _memory import traced
 from _oracles import ref_adam_step, ref_attention_core, ref_rollout
 
+N_FEATURES = len(D.FEATURE_COLUMNS)   # the CSV schema fixes the input width
+
 
 def small_dataset(seed=1, length=500, lookback=6, horizon=2):
     series = D.synth_generate(seed=seed, length=length)
@@ -177,7 +179,7 @@ class TestAdam:
         of the gradients. The update's temporaries are one block each."""
         cfg = ModelConfig(d_model=128, n_heads=4, d_ffn=512, lookback=8, horizon=2)
         rng = np.random.default_rng(3)
-        w = rng.standard_normal((cfg.lookback, cfg.n_features))
+        w = rng.standard_normal((cfg.lookback, N_FEATURES))
         dec, tgt = rng.standard_normal((2, cfg.horizon, 1))
 
         def build_and_train():
@@ -210,11 +212,13 @@ class TestEarlyStopper:
         assert stopped
         assert stopper.best_epoch == 2
 
-    def test_min_delta_requires_strict_margin(self):
-        stopper = EarlyStopper(patience=1, min_delta=0.1)
+    def test_equal_loss_is_not_an_improvement(self):
+        stopper = EarlyStopper(patience=1)
         stopper.update(0, 1.0)
-        stopper.update(1, 0.95)  # improvement below min_delta does not reset
-        assert stopper.bad_epochs == 1
+        assert not stopper.update(1, 1.0)   # equal to the best: a bad epoch
+        assert stopper.bad_epochs == 1 and stopper.best_epoch == 0
+        assert not stopper.update(2, 0.999)  # any strictly lower loss resets
+        assert stopper.bad_epochs == 0 and stopper.best_epoch == 2
 
 
 class TestTeacherForcing:
@@ -252,7 +256,7 @@ class TestSubBatches:
         model = TransformerModel(DESK, seed=0)
         rng = np.random.default_rng(0)
         b = sub_batch_size(DESK)
-        windows = rng.standard_normal((b, DESK.lookback, DESK.n_features))
+        windows = rng.standard_normal((b, DESK.lookback, N_FEATURES))
         targets = rng.standard_normal((b, DESK.horizon))
         dec = teacher_forced_input(windows, targets, D.TARGET_INDEX)
         _, _, peak = traced(lambda: backward(mse(model.forward(windows, dec),
@@ -333,10 +337,13 @@ class TestFit:
         grads = []
         monkeypatch.setattr(Adam, "step", lambda opt, lr: grads.append(
             {n: p.grad.copy() for n, p in opt.params.items()}))
-        fit(model, ds, TrainConfig(batch_size=8, max_epochs=1, shuffle_train=False))
+        cfg = TrainConfig(batch_size=8, max_epochs=1, seed=8)
+        fit(model, ds, cfg)
         train = ds.split("train")
+        # the first batch is the head of the epoch's seeded permutation
+        batch = np.random.default_rng(cfg.seed).permutation(len(train.windows))[:8]
         want = {n: np.zeros_like(g) for n, g in grads[0].items()}
-        for i in range(8):
+        for i in batch:
             for p in model.params.values():
                 p.grad = None
             w, tgt = train.windows[i], train.targets[i]
@@ -521,7 +528,7 @@ class TestForwardBatchSize:
     def _chunk_rollout_peak(cfg):
         model = TransformerModel(cfg, seed=0)
         windows = np.random.default_rng(0).standard_normal(
-            (forward_batch_size(cfg), cfg.lookback, cfg.n_features))
+            (forward_batch_size(cfg), cfg.lookback, N_FEATURES))
         return traced(lambda: model.predict(windows, cfg.horizon))[2]
 
     def test_paper_scale_chunk_rollout_peak_under_budget(self):
@@ -539,7 +546,7 @@ class TestForwardBatchSize:
             model = TransformerModel(cfg, seed=0)
             rng = np.random.default_rng(0)
             n = forward_batch_size(cfg)
-            windows = rng.standard_normal((n, cfg.lookback, cfg.n_features))
+            windows = rng.standard_normal((n, cfg.lookback, N_FEATURES))
             dec_in = rng.standard_normal((n, cfg.horizon, 1))
 
             def forward():
