@@ -19,7 +19,6 @@ from . import data as data_mod
 from . import explain as explain_mod
 from .attention import attend, default_k
 from .errors import ConfigError, DataError, NumericError
-from .metrics import DegenerateDenominatorError
 from .model import (ModelConfig, TransformerModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .tensor import Tensor, backward, tensor_sum
@@ -44,22 +43,11 @@ class RunConfig:
     data_path: str = ""
 
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
-
-
-def _parse_bool(text):
-    try:
-        return _BOOL_VALUES[text.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
-
-
 def _parse_optional_int(text):
     return None if text.strip().lower() in ("none", "auto") else int(text)
 
 
-_FIELD_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
-                  int | None: _parse_optional_int}
+_FIELD_PARSERS = {int: int, float: float, str: str, int | None: _parse_optional_int}
 
 # One key per ModelConfig and TrainConfig field, except train.seed, which the
 # top-level seed key sets.
@@ -85,7 +73,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _KEY_PARSERS[key](val.strip())
-        except (ValueError, ConfigError) as e:
+        except ValueError as e:
             raise ConfigError(f"config line {lineno}: bad value for {key}: {e}") from e
     return values
 
@@ -176,16 +164,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_for_data(path, action):
-    """A checkpoint that carries the normalizer its data files need."""
-    model, normalizer = load_checkpoint(path)
-    if normalizer is None:
-        raise DataError(f"checkpoint carries no normalizer; cannot {action}")
-    return model, normalizer
-
-
 def cmd_evaluate(args) -> int:
-    model, normalizer = _load_for_data(args.checkpoint, "evaluate")
+    model, normalizer = load_checkpoint(args.checkpoint)
     dataset = data_mod.make_windows(_read_series(args.data), model.config.lookback,
                                     model.config.horizon, normalizer=normalizer)
     check_leads(args.leads, model.config.horizon)
@@ -204,7 +184,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, normalizer = _load_for_data(args.checkpoint, "predict")
+    model, normalizer = load_checkpoint(args.checkpoint)
     series = _read_series(args.data)
     lookback = model.config.lookback
     if series.values.shape[0] < lookback:
@@ -232,7 +212,7 @@ def _explain_instances(args, dataset):
 
 
 def cmd_explain(args) -> int:
-    model, normalizer = _load_for_data(args.checkpoint, "explain")
+    model, normalizer = load_checkpoint(args.checkpoint)
     dataset = data_mod.make_windows(_read_series(args.data), model.config.lookback,
                                     model.config.horizon, normalizer=normalizer)
     test = dataset.split("test")
@@ -413,7 +393,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DegenerateDenominatorError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as e:

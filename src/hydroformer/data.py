@@ -170,9 +170,27 @@ class Normalizer:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(mean=np.array(d["mean"], dtype=np.float64),
-                   std=np.array(d["std"], dtype=np.float64))
+    def from_dict(cls, d) -> "Normalizer":
+        """The normalizer that to_dict wrote, bit for bit. DataError unless d
+        is a mapping whose `mean` and `std` are lists of one float per
+        feature, every mean finite and every std finite and > 0. Each
+        message names the failed check and reads after the name of what
+        carried the entry ("checkpoint ...")."""
+        if d is None:
+            raise DataError("carries no normalizer (the entry is null)")
+        if not isinstance(d, dict) or not {"mean", "std"} <= d.keys():
+            raise DataError("normalizer is not a mapping with mean and std")
+        n = len(FEATURE_COLUMNS)
+        for key in ("mean", "std"):
+            if not (isinstance(d[key], list) and len(d[key]) == n
+                    and all(type(v) is float for v in d[key])):
+                raise DataError(f"normalizer {key} is not a list of {n} floats, one per feature")
+        norm = cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
+        bad = np.flatnonzero(~(np.isfinite(norm.mean) & np.isfinite(norm.std) & (norm.std > 0)))
+        if bad.size:
+            raise DataError(f"normalizer: feature(s) {bad.tolist()} need a finite mean "
+                            f"and a finite std > 0")
+        return norm
 
 
 @dataclass

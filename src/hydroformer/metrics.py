@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
+
 R2_MODES = ("paper", "standard")
 
 
-class DegenerateDenominatorError(ZeroDivisionError):
+class DegenerateDenominatorError(DataError):
     """The chosen R² denominator is zero for this input."""
 
 

@@ -368,12 +368,15 @@ def _manifest(config: ModelConfig) -> list:
     return [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
 
 
-def save_checkpoint(model: TransformerModel, normalizer, path) -> None:
+def save_checkpoint(model: TransformerModel, normalizer: Normalizer, path) -> None:
+    """Writes the model and the normalizer its inputs need: train passes the
+    one fitted on its train split, and load_checkpoint refuses a file
+    without a usable one."""
     header = {
         "magic": CHECKPOINT_MAGIC,
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "normalizer": None if normalizer is None else normalizer.to_dict(),
+        "normalizer": normalizer.to_dict(),
         "params": _manifest(model.config),
     }
     with open(path, "wb") as f:
@@ -398,27 +401,12 @@ def _config_from_header(config) -> ModelConfig:
         raise DataError(f"checkpoint config: {e}") from e
 
 
-def _normalizer_from_header(entry) -> Normalizer:
-    try:
-        norm = Normalizer.from_dict(entry)
-    except (TypeError, KeyError, ValueError) as e:
-        raise DataError(f"checkpoint normalizer is malformed: {e}") from e
-    n = len(FEATURE_COLUMNS)
-    if norm.mean.shape != (n,) or norm.std.shape != (n,):
-        raise DataError(f"checkpoint normalizer: mean/std shapes {norm.mean.shape}, "
-                        f"{norm.std.shape} do not match the {n} features")
-    bad = np.flatnonzero(~(np.isfinite(norm.mean) & np.isfinite(norm.std) & (norm.std > 0)))
-    if bad.size:
-        raise DataError(f"checkpoint normalizer: feature(s) {bad.tolist()} need a finite "
-                        f"mean and a finite std > 0")
-    return norm
-
-
 def load_checkpoint(path):
-    """Returns (model, normalizer); normalizer may be None. A malformed file,
-    or one whose parameters hold NaN or inf, raises DataError. The header's
-    config is checked against its manifest and the body's size before the
-    model is built, so an edited shape allocates nothing; the build
+    """Returns (model, normalizer). A malformed file, one whose normalizer
+    Normalizer.from_dict refuses (a null one too) or whose parameters hold
+    NaN or inf raises DataError. The header's config and normalizer are
+    checked, and the config against its manifest and the body's size, before
+    the model is built, so a bad header allocates nothing; the build
     allocates the parameter vector only."""
     try:
         f = open(path, "rb")
@@ -443,6 +431,10 @@ def load_checkpoint(path):
         if missing:
             raise DataError(f"checkpoint header lacks {missing}")
         config = _config_from_header(header["config"])
+        try:
+            norm = Normalizer.from_dict(header["normalizer"])
+        except DataError as e:
+            raise DataError(f"checkpoint {e}") from e
         body = os.fstat(f.fileno()).st_size - len(header_line)
         # every layer holds parameters: this refuses a huge layer count before
         # _layout, whose time grows with it
@@ -462,9 +454,6 @@ def load_checkpoint(path):
         if not all_finite(model.flat):
             name = next(n for n, t in model.params.items() if not all_finite(t.data))
             raise DataError(f"checkpoint parameter {name} holds non-finite values")
-    norm = None
-    if header["normalizer"] is not None:
-        norm = _normalizer_from_header(header["normalizer"])
     return model, norm
 
 

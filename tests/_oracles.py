@@ -1,7 +1,9 @@
 """Independent straight-line numpy references used as test oracles.
 
 These deliberately avoid the package's tensor/attention code paths: plain
-numpy, no masking kernels, no autograd. The exceptions are ref_rollout, the
+numpy, no masking kernels, no autograd. ref_attention_core_and_grads and
+ref_mlp_and_grads give the fused ops' outputs and hand-derived gradients
+that way, per batch item and per head. The exceptions are ref_rollout, the
 per-window rollout loop, which drives the model's own forward pieces;
 ref_backward, a second sweep over the package's own tape; and the unfused
 chains that the fused tape ops must equal bit for bit (head_mix,
@@ -141,6 +143,62 @@ def ref_attention_core(q, k, v, n_heads, c=1.0, allowed=None, k_sparse=None):
 def ref_mlp(x, w1, b1, w2, b2, kind):
     """mlp as the chain of tape ops it fuses: linear, activation, linear."""
     return linear(activation(linear(x, w1, b1), kind), w2, b2)
+
+
+def ref_attention_core_and_grads(q, k, v, n_heads, c, allowed, k_sparse, g):
+    """attention_core's output and the gradients of q, k and v for the output
+    gradient g, one batch item and one head at a time: head h is column block
+    h of q, k and v, and row block h of `allowed` (None allows every key)."""
+    lq, lk = q.shape[-2], k.shape[-2]
+    dq, dv = q.shape[-1] // n_heads, v.shape[-1] // n_heads
+    if allowed is None:
+        allowed = np.ones((n_heads * lq, lk), dtype=bool)
+    out = np.zeros(q.shape[:-1] + v.shape[-1:])
+    gq, gk, gv = np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+    for b in np.ndindex(q.shape[:-2]):
+        for h in range(n_heads):
+            qc, vc = slice(h * dq, (h + 1) * dq), slice(h * dv, (h + 1) * dv)
+            qh, kh, vh, gh = q[b][:, qc], k[b][:, qc], v[b][:, vc], g[b][:, vc]
+            s = c * (qh @ kh.T)
+            keep = allowed[h * lq:(h + 1) * lq]
+            if k_sparse is not None:
+                keep = ref_topk_mask(s, k_sparse, keep)
+            w = ref_masked_softmax(s, keep)
+            out[b][:, vc] = w @ vh
+            gv[b][:, vc] += w.T @ gh
+            gs = c * ref_masked_softmax_backward(w, gh @ vh.T)
+            gq[b][:, qc] += gs @ kh
+            gk[b][:, qc] += gs.T @ qh
+    return out, [gq, gk, gv]
+
+
+# kind -> (y(x), dy/dx from the input x and the output y)
+_REF_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64)),
+}
+
+
+def ref_mlp_and_grads(x, w1, b1, w2, b2, kind, g):
+    """mlp's output and the gradients of x, w1, b1, w2 and b2 for the output
+    gradient g, one batch item at a time. b2 is a bias row or a table of
+    the output's last two axes, as in linear."""
+    act, slope = _REF_ACTIVATIONS[kind]
+    out = np.zeros(x.shape[:-1] + w2.shape[1:])
+    gx, gw1, gb1 = np.zeros(x.shape), np.zeros(w1.shape), np.zeros(b1.shape)
+    gw2, gb2 = np.zeros(w2.shape), np.zeros(b2.shape)
+    for b in np.ndindex(x.shape[:-2]):
+        xb, gb = x[b], g[b]
+        pre = xb @ w1 + b1
+        hidden = act(pre)
+        out[b] = hidden @ w2 + b2
+        gw2 += hidden.T @ gb
+        gb2 += gb.sum(axis=0) if b2.ndim == 1 else gb
+        gpre = (gb @ w2.T) * slope(pre, hidden)
+        gx[b] = gpre @ w1.T
+        gw1 += xb.T @ gpre
+        gb1 += gpre.sum(axis=0)
+    return out, [gx, gw1, gb1, gw2, gb2]
 
 
 def ref_positional_table(max_len, d_model):

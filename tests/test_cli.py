@@ -114,6 +114,10 @@ class TestConfigParsing:
         assert set(cli._KEY_PARSERS) == keys | {"data.path", "seed"}
         assert len(cli._KEY_PARSERS) == 16
 
+    def test_field_parsers_are_the_config_field_types(self):
+        types = {f.type for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+        assert set(cli._FIELD_PARSERS) == types
+
 
 class TestDatagen:
     def test_deterministic_bytes(self, tmp_path):
@@ -200,6 +204,7 @@ def _resize_ffn(header, d_ffn):
     (lambda h: h.pop("config"), bytes),
     (lambda h: h.pop("params"), bytes),
     (lambda h: h.pop("normalizer"), bytes),
+    (lambda h: h.update(normalizer=None), bytes),
     (lambda h: None, lambda b: b + b"\x00"),
     (lambda h: h["normalizer"]["mean"].pop(), bytes),
     (lambda h: h.update(format_version=1), bytes),
@@ -217,7 +222,7 @@ def _resize_ffn(header, d_ffn):
     (lambda h: h["config"].update(n_encoder_layers=10**6), bytes),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "bool_config_value", "missing_config", "missing_params",
-        "missing_normalizer", "trailing_bytes", "normalizer_length", "v1_header", "v2_header",
+        "missing_normalizer", "null_normalizer", "trailing_bytes", "normalizer_length", "v1_header", "v2_header",
         "nan_first_param", "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
         "negative_normalizer_std", "zero_normalizer_std", "huge_d_model", "huge_d_ffn",
         "huge_config_and_manifest", "huge_layer_count"])
@@ -247,11 +252,16 @@ def test_numeric_error_names_the_layer(trained_run, tmp_path, capsys):
     assert "produced non-finite values" in err
 
 
-@pytest.mark.parametrize("command, extra", [
+# the commands that read a data file through a checkpoint, "OUT" standing for
+# the --out directory
+_DATA_COMMANDS = pytest.mark.parametrize("command, extra", [
     ("predict", []),
     ("evaluate", ["--out", "OUT"]),
     ("explain", ["--global", "--sample", "1", "--permutations", "2", "--out", "OUT"]),
 ], ids=["predict", "evaluate", "explain"])
+
+
+@_DATA_COMMANDS
 def test_checkpoint_with_other_feature_count_is_data_error(trained_run, tmp_path, capsys,
                                                           command, extra):
     """The CSV schema fixes the input width, so a header that carries a
@@ -265,6 +275,28 @@ def test_checkpoint_with_other_feature_count_is_data_error(trained_run, tmp_path
     argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
     assert cli.main(argv) == cli.EXIT_DATA
     _assert_one_line_error(capsys, "data error: ", "unknown keys ['n_features']")
+    assert not (tmp_path / "out").exists()
+
+
+@_DATA_COMMANDS
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(normalizer=None), "checkpoint carries no normalizer"),
+    (lambda h: h["normalizer"]["std"].__setitem__(0, -1.0),
+     "checkpoint normalizer: feature(s) [0]"),
+], ids=["null_normalizer", "negative_std"])
+def test_checkpoint_without_usable_normalizer_is_data_error(trained_run, tmp_path, capsys,
+                                                            command, extra, edit, message):
+    """Each command normalizes its data with the checkpoint's statistics, so
+    a null or unusable normalizer is refused before --out is made."""
+    header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
+    header = json.loads(header_line)
+    edit(header)
+    ckpt = tmp_path / "bad.bin"
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(trained_run["data"])]
+    argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+    assert cli.main(argv) == cli.EXIT_DATA
+    _assert_one_line_error(capsys, "data error: " + message)
     assert not (tmp_path / "out").exists()
 
 

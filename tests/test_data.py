@@ -1,4 +1,5 @@
 import datetime
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,13 @@ def _write_csv(path, rows, header=None):
 
 def _row(date, fill=1.0):
     return [date] + [fill + i * 0.1 for i in range(19)]
+
+
+def _normalizer_entry(key, i, value):
+    """A usable normalizer's dict, as to_dict writes it, with one cell set."""
+    entry = {"mean": [0.0] * 19, "std": [1.0] * 19}
+    entry[key][i] = value
+    return entry
 
 
 class TestLoadTable:
@@ -211,6 +219,29 @@ class TestNormalizer:
         back = D.Normalizer.from_dict(norm.to_dict())
         assert np.array_equal(back.mean, norm.mean)
         assert np.array_equal(back.std, norm.std)
+
+    def test_dict_round_trip_is_bit_for_bit(self):
+        """Through JSON, as a checkpoint header carries it."""
+        rng = np.random.default_rng(3)
+        norm = D.Normalizer(mean=rng.standard_normal(19) * 1e3,
+                            std=rng.uniform(1e-9, 1e9, 19))
+        back = D.Normalizer.from_dict(json.loads(json.dumps(norm.to_dict())))
+        assert back.mean.tobytes() == norm.mean.tobytes()
+        assert back.std.tobytes() == norm.std.tobytes()
+
+    @pytest.mark.parametrize("entry, message", [
+        (None, "carries no normalizer"),
+        ({"mean": [0.0] * 19}, "not a mapping with mean and std"),
+        ({"mean": [0.0] * 18, "std": [1.0] * 18}, "mean is not a list of 19 floats"),
+        (_normalizer_entry("mean", 2, math.nan), r"feature\(s\) \[2\]"),
+        (_normalizer_entry("std", 3, math.inf), r"feature\(s\) \[3\]"),
+        (_normalizer_entry("std", 4, 0.0), r"feature\(s\) \[4\]"),
+        (_normalizer_entry("std", 5, -1.0), r"feature\(s\) \[5\]"),
+    ], ids=["none", "missing_key", "18_entries", "nan_mean", "inf_std", "zero_std",
+            "negative_std"])
+    def test_from_dict_refuses_an_unusable_normalizer(self, entry, message):
+        with pytest.raises(DataError, match=message):
+            D.Normalizer.from_dict(entry)
 
 
 class TestMakeWindows:

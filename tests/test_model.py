@@ -1,4 +1,6 @@
 import hashlib
+import json
+import shutil
 from dataclasses import fields
 from unittest import mock
 
@@ -22,6 +24,8 @@ from _memory import traced
 from _oracles import ref_glorot_flat, ref_layer_norm, ref_positional_table, ref_rollout
 
 N_FEATURES = len(D.FEATURE_COLUMNS)   # the CSV schema fixes the input width
+# the normalizer of the checkpoints whose statistics no test reads
+NORM = D.Normalizer(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
 
 
 def tiny_config(**kw):
@@ -673,7 +677,7 @@ class TestParameterVector:
 
     def test_load_checkpoint(self, tmp_path):
         path = tmp_path / "c.bin"
-        save_checkpoint(TransformerModel(DESK, seed=1), None, path)
+        save_checkpoint(TransformerModel(DESK, seed=1), NORM, path)
         assert_views_tile_flat(load_checkpoint(path)[0])
 
     def test_load_state_arrays(self):
@@ -700,7 +704,7 @@ class TestParameterVector:
         path = tmp_path / "c.bin"
 
         def build_save_load():
-            save_checkpoint(TransformerModel(DESK, seed=5), None, path)
+            save_checkpoint(TransformerModel(DESK, seed=5), NORM, path)
             return load_checkpoint(path)[0].flat.nbytes
 
         nbytes = build_save_load()      # untraced: first-use imports and caches
@@ -712,10 +716,32 @@ class TestParameterVector:
         """A paper-scale load allocates the parameter vector and no
         temporary of its size: the finite check makes none."""
         path = tmp_path / "c.bin"
-        save_checkpoint(TransformerModel(ModelConfig(), seed=None), None, path)
+        save_checkpoint(TransformerModel(ModelConfig(), seed=None), NORM, path)
         nbytes = load_checkpoint(path)[0].flat.nbytes
         _, _, peak = traced(lambda: load_checkpoint(path))
         assert peak < nbytes + (1 << 20), (peak, nbytes)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["normalizer"]["std"].__setitem__(0, -1.0),
+        lambda h: h.update(normalizer=None),
+    ], ids=["negative_std", "null"])
+    def test_bad_normalizer_refused_before_the_parameter_vector(self, tmp_path, edit):
+        """A paper-scale header whose normalizer is unusable is refused
+        before the load allocates the 88 MiB parameter vector."""
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        save_checkpoint(TransformerModel(ModelConfig(), seed=None), NORM, good)
+        with open(good, "rb") as src, open(bad, "wb") as dst:
+            header = json.loads(src.readline())
+            edit(header)
+            dst.write(json.dumps(header).encode() + b"\n")
+            shutil.copyfileobj(src, dst)
+
+        def load():
+            with pytest.raises(DataError, match="^checkpoint "):
+                load_checkpoint(bad)
+
+        _, _, peak = traced(load)
+        assert peak < 1 << 20, peak
 
 
 class TestCheckpoint:
@@ -735,7 +761,7 @@ class TestCheckpoint:
     def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
         model = TransformerModel(tiny_config(n_heads=2), seed=21)
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(model, None, path)
+        save_checkpoint(model, NORM, path)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("load_checkpoint drew random weights")
@@ -764,8 +790,8 @@ class TestCheckpoint:
     def test_digest_stable_across_saves(self, tmp_path):
         model = TransformerModel(tiny_config(), seed=20)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_checkpoint(model, None, p1)
-        save_checkpoint(model, None, p2)
+        save_checkpoint(model, NORM, p1)
+        save_checkpoint(model, NORM, p2)
         assert checkpoint_digest(p1) == checkpoint_digest(p2)
 
     def test_malformed_file_rejected(self, tmp_path):

@@ -14,8 +14,9 @@ from hydroformer.tensor import (ACTIVATIONS, Tensor, activation, add, add_bias,
                                 no_grad, scale, sub, swap_leading, tensor_sum, transpose)
 
 from _memory import traced
-from _oracles import (head_mix, ref_attention_core, ref_backward, ref_layer_norm,
-                      ref_layer_norm_backward, ref_linear, ref_masked_softmax, ref_mlp)
+from _oracles import (head_mix, ref_attention_core, ref_attention_core_and_grads,
+                      ref_backward, ref_layer_norm, ref_layer_norm_backward, ref_linear,
+                      ref_masked_softmax, ref_mlp, ref_mlp_and_grads)
 from gradcheck import grad_check
 
 
@@ -583,6 +584,41 @@ class TestFused:
             assert np.array_equal(f_out, c_out), name
             for fg, cg in zip(f_grads, c_grads):
                 assert np.array_equal(fg, cg), name
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_attention_core_and_mlp_match_plain_numpy(self, lead):
+        """attention_core and mlp against references that share no code with
+        them, in the output and every gradient, on _fused_cases' shapes."""
+        rng = np.random.default_rng(47 + len(lead))
+        x = rng.uniform(-2, 2, lead + (3, 6))
+        k, v = rng.uniform(-1, 1, lead + (5, 6)), rng.uniform(-1, 1, lead + (5, 6))
+        w1, b1 = rng.uniform(-1, 1, (6, 5)), rng.uniform(-1, 1, 5)
+        w2 = rng.uniform(-1, 1, (5, 4))
+        g_att, g_mlp = rng.uniform(-1, 1, lead + (3, 6)), rng.uniform(-1, 1, lead + (3, 4))
+        cases = []  # (leaf arrays, output gradient, fused op, reference output and grads)
+        for n_heads in (1, 2):
+            causal = np.tile(np.tril(np.ones((3, 3), bool)), (n_heads, 1))
+            for k_sparse in (None, 2):
+                args = (n_heads, 0.37, None, k_sparse)
+                cases.append(([x, k, v], g_att, lambda a, args=args: attention_core(*a, *args),
+                              ref_attention_core_and_grads(x, k, v, *args, g_att)))
+                # causal self-attention with q, k and v one leaf, whose
+                # gradient is the sum of the three
+                args = (n_heads, 0.37, causal, k_sparse)
+                out, grads = ref_attention_core_and_grads(x, x, x, *args, g_att)
+                cases.append(([x], g_att,
+                              lambda a, args=args: attention_core(a[0], a[0], a[0], *args),
+                              (out, [sum(grads)])))
+        for kind in ACTIVATIONS:
+            for b2 in (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (3, 4))):
+                arrays = [x, w1, b1, w2, b2]
+                cases.append((arrays, g_mlp, lambda a, kind=kind: mlp(*a, kind),
+                              ref_mlp_and_grads(*arrays, kind, g_mlp)))
+        for i, (arrays, g, fused, (ref_out, ref_grads)) in enumerate(cases):
+            out, grads = _value_and_grads(fused, arrays, g)
+            assert np.allclose(out, ref_out, rtol=0, atol=1e-12), i
+            for grad, ref_grad in zip(grads, ref_grads, strict=True):
+                assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12), i
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("bias_shape", [(4,), (3, 4)])
