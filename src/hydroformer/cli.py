@@ -152,9 +152,12 @@ def cmd_train(args) -> int:
         raise ConfigError("data.path is not set")
     dataset = data_mod.make_windows(_read_series(cfg.data_path), cfg.model.lookback,
                                     cfg.model.horizon)
+    try:
+        model = TransformerModel(cfg.model, seed=cfg.train.seed)
+    except MemoryError as e:
+        raise ConfigError(f"cannot build the model: {e}") from e
     out = _outdir(args.out)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
-    model = TransformerModel(cfg.model, seed=cfg.train.seed)
     curve = fit(model, dataset, cfg.train)
     (out / "loss_curve.csv").write_text(curve.to_text(), encoding="utf-8")
     ckpt = out / "checkpoint.bin"
@@ -204,8 +207,6 @@ def _explain_instances(args, dataset):
             raise DataError(f"no test-split sample anchored at {args.instance}")
         return matches
     n = len(test.windows)
-    if n == 0:
-        raise DataError("test split is empty")
     rng = np.random.default_rng(args.seed)
     size = min(args.sample, n)
     return sorted(rng.choice(n, size=size, replace=False).tolist())

@@ -202,7 +202,7 @@ class TransformerModel:
                    p[f"{prefix}.b2"], activation)
 
     @_named
-    def _ln(self, prefix, x, residual=None):
+    def _ln(self, prefix, x, residual):
         """Layer norm of x + residual; an overflowing residual sum is named
         after this layer norm."""
         return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"],

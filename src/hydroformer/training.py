@@ -103,29 +103,6 @@ class LossCurve:
         return "\n".join(lines) + "\n"
 
 
-class EarlyStopper:
-    """Stop once the count of consecutive epochs without an improvement
-    exceeds the patience budget (patience=1 tolerates one bad epoch and stops
-    on the second). An epoch improves when its validation loss is strictly
-    below the best so far; an equal loss counts as a bad epoch."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = -1
-        self.bad_epochs = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-        return self.bad_epochs > self.patience
-
-
 def teacher_forced_input(window: np.ndarray, targets: np.ndarray,
                          target_index: int) -> np.ndarray:
     """Decoder input for training: start token (last observed target in the
@@ -221,9 +198,15 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
         cfg: TrainConfig) -> LossCurve:
     """Train in place; returns the loss curve. Every epoch draws a fresh
     permutation of the training windows from a generator seeded with
-    cfg.seed and runs it in mini-batches of cfg.batch_size. Weights from the
-    epoch with the best validation loss are restored on exit. Every
-    parameter's .grad is None on return, as it is if training raises."""
+    cfg.seed and runs it in mini-batches of cfg.batch_size.
+
+    The curve is the run's one record. An epoch becomes curve.best_epoch
+    when it is the first or its validation loss is strictly below the best
+    epoch's (an equal loss is a bad epoch). Training stops after
+    cfg.max_epochs epochs, or once more than cfg.early_stop_patience epochs
+    have passed since the best one (patience 1 stops on the second bad
+    epoch), and restores the best epoch's weights. Every parameter's .grad
+    is None on return, as it is if training raises."""
     train = dataset.split("train")
     val = dataset.split("val")
     if len(train.windows) == 0 or len(val.windows) == 0:
@@ -233,7 +216,6 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                           f"{model.config.horizon}")
 
     rng = np.random.default_rng(cfg.seed)
-    stopper = EarlyStopper(cfg.early_stop_patience)
     curve = LossCurve()
     best_state = model.flat.copy()
 
@@ -262,13 +244,12 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
             if not np.isfinite(train_loss) or not np.isfinite(val_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}: "
                                    f"train={train_loss}, val={val_loss}")
-            curve.epochs.append((train_loss, val_loss))
-            stop = stopper.update(epoch, val_loss)
-            if stopper.best_epoch == epoch:
+            if curve.best_epoch < 0 or val_loss < curve.epochs[curve.best_epoch][1]:
+                curve.best_epoch = epoch
                 np.copyto(best_state, model.flat)
-            if stop:
+            curve.epochs.append((train_loss, val_loss))
+            if epoch - curve.best_epoch > cfg.early_stop_patience:
                 break
-        curve.best_epoch = stopper.best_epoch
         model.flat[:] = best_state
     finally:
         # the .grad views would keep Adam's gradient vector alive and let a

@@ -669,6 +669,19 @@ def test_train_on_unreadable_data_makes_no_run_directory(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_refuses_a_model_it_cannot_allocate_before_out(trained_run, tmp_path, capsys):
+    """A parameter vector of about 146 TiB: one line, exit 2, no run
+    directory."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CONFIG.replace("data.csv", str(trained_run["data"]))
+                       .replace("model.d_model = 8", "model.d_model = 1000000"),
+                       encoding="utf-8")
+    rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    _assert_one_line_error(capsys, "config error: cannot build the model")
+    assert not (tmp_path / "run").exists()
+
+
 def _sparse_file(path, head, size):
     """head, then zero bytes to size, which take no disk blocks."""
     with open(path, "wb") as f:

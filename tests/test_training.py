@@ -9,7 +9,7 @@ from hydroformer.errors import ConfigError, DataError, NumericError
 from hydroformer.model import ModelConfig, TransformerModel
 from hydroformer.tensor import Tensor, backward, mse, no_grad
 from hydroformer.training import (FORWARD_BUDGET_BYTES, TAPE_BUDGET_BYTES, Adam,
-                                  EarlyStopper, LossCurve, TrainConfig, _batch, _split_loss,
+                                  LossCurve, TrainConfig, _batch, _split_loss,
                                   _sub_batches, evaluate_split, fit, forward_batch_size,
                                   sub_batch_size, tape_bytes_per_sample,
                                   teacher_forced_input)
@@ -196,29 +196,58 @@ class TestAdam:
         assert peak < 5.5 * nbytes, peak / nbytes
 
 
-class TestEarlyStopper:
-    def test_spec_trace_patience_one(self):
+def scripted_fit(monkeypatch, val_losses, patience, max_epochs=20):
+    """fit on small_dataset() with each epoch's validation loss taken in turn
+    from val_losses; returns the curve, the model and the model.flat each
+    epoch's validation pass saw."""
+    seen = []
+    script = iter(val_losses)
+
+    def scripted(model, samples, target_index):
+        seen.append(model.flat.copy())
+        return next(script)
+
+    monkeypatch.setattr(training, "_split_loss", scripted)
+    model = small_model(seed=7)
+    curve = fit(model, small_dataset(), TrainConfig(
+        max_epochs=max_epochs, early_stop_patience=patience, learning_rate=1e-3, seed=7))
+    return curve, model, seen
+
+
+class TestEarlyStopping:
+    """fit's stop rule, on scripted validation losses."""
+
+    def test_spec_trace_patience_one(self, monkeypatch):
         # val loss strictly increasing from the second epoch
-        stopper = EarlyStopper(patience=1)
-        assert not stopper.update(0, 0.5)
-        assert not stopper.update(1, 0.6)
-        assert stopper.update(2, 0.7)
-        assert stopper.best_epoch == 0
+        curve, _, _ = scripted_fit(monkeypatch, [0.5, 0.6, 0.7, 0.8, 0.9], patience=1)
+        assert len(curve.epochs) == 3 and curve.best_epoch == 0
 
-    def test_improvement_resets_patience(self):
-        stopper = EarlyStopper(patience=2)
-        for epoch, loss in enumerate([1.0, 1.1, 0.9, 1.2, 1.3, 1.4]):
-            stopped = stopper.update(epoch, loss)
-        assert stopped
-        assert stopper.best_epoch == 2
+    def test_improvement_resets_patience(self, monkeypatch):
+        losses = [1.0, 1.1, 0.9, 1.2, 1.3, 1.4, 1.5, 1.6]
+        curve, _, _ = scripted_fit(monkeypatch, losses, patience=2)
+        assert len(curve.epochs) == 6 and curve.best_epoch == 2
 
-    def test_equal_loss_is_not_an_improvement(self):
-        stopper = EarlyStopper(patience=1)
-        stopper.update(0, 1.0)
-        assert not stopper.update(1, 1.0)   # equal to the best: a bad epoch
-        assert stopper.bad_epochs == 1 and stopper.best_epoch == 0
-        assert not stopper.update(2, 0.999)  # any strictly lower loss resets
-        assert stopper.bad_epochs == 0 and stopper.best_epoch == 2
+    def test_equal_loss_is_not_an_improvement(self, monkeypatch):
+        # epoch 1 equals the best: a bad epoch; epoch 2 is strictly lower
+        losses = [1.0, 1.0, 0.999, 1.5, 1.6, 1.7, 1.8]
+        curve, _, _ = scripted_fit(monkeypatch, losses, patience=1)
+        assert len(curve.epochs) == 5 and curve.best_epoch == 2
+        # an equal loss does not move the best epoch, so it stops the run
+        curve, _, _ = scripted_fit(monkeypatch, [1.0, 1.0, 1.5, 1.6, 1.7], patience=1)
+        assert len(curve.epochs) == 3 and curve.best_epoch == 0
+
+    def test_run_that_never_stops_has_max_epochs(self, monkeypatch):
+        # never more than one bad epoch in a row
+        curve, _, _ = scripted_fit(monkeypatch, [1.0, 1.1, 0.9, 1.0, 0.8], patience=1,
+                                   max_epochs=5)
+        assert len(curve.epochs) == 5 and curve.best_epoch == 4
+
+    def test_restores_the_weights_the_best_epoch_scored(self, monkeypatch):
+        curve, model, seen = scripted_fit(monkeypatch, [1.0, 0.8, 0.9, 0.95, 1.2],
+                                          patience=2)
+        assert len(curve.epochs) == len(seen) == 5 and curve.best_epoch == 1
+        assert not np.array_equal(seen[1], seen[-1])
+        assert np.array_equal(model.flat, seen[1])
 
 
 class TestTeacherForcing:
