@@ -152,10 +152,8 @@ def cmd_train(args) -> int:
         raise ConfigError("data.path is not set")
     dataset = data_mod.make_windows(_read_series(cfg.data_path), cfg.model.lookback,
                                     cfg.model.horizon)
-    try:
-        model = TransformerModel(cfg.model, seed=cfg.train.seed)
-    except MemoryError as e:
-        raise ConfigError(f"cannot build the model: {e}") from e
+    # built before --out is made, so a model too large to allocate leaves no run directory
+    model = TransformerModel(cfg.model, seed=cfg.train.seed)
     out = _outdir(args.out)
     (out / "resolved_config.txt").write_text(resolved_config_text(cfg), encoding="utf-8")
     curve = fit(model, dataset, cfg.train)
@@ -400,6 +398,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -202,8 +202,6 @@ class SplitSamples:
 
 @dataclass
 class WindowedDataset:
-    lookback: int
-    horizon: int
     normalizer: Normalizer
     splits: dict = field(default_factory=dict)   # name -> SplitSamples
 
@@ -238,8 +236,7 @@ def make_windows(series: RawSeries, lookback: int, horizon: int,
         splits[name] = SplitSamples(windows=normed[t + window_offsets],
                                     targets=normed[t + target_offsets, TARGET_INDEX],
                                     anchors=[series.dates[i] for i in t.ravel().tolist()])
-    return WindowedDataset(lookback=lookback, horizon=horizon,
-                           normalizer=normalizer, splits=splits)
+    return WindowedDataset(normalizer=normalizer, splits=splits)
 
 
 def synth_generate(seed: int, length: int, rain_scale: float = 1.0) -> RawSeries:

@@ -35,7 +35,7 @@ class ModelConfig:
     n_decoder_layers: int = 2
     d_ffn: int = 2048
     attention_mode: str = "dense"          # "dense" | "sparse"
-    k_sparse: int | None = None            # None -> ceil(L/4) at runtime
+    k_sparse: int | None = None            # sparse only; None -> ceil(L/4) at runtime
     output_head: str = "linear"            # "linear" | "nonlinear"
     lookback: int = 30
     horizon: int = 1
@@ -53,6 +53,8 @@ class ModelConfig:
             raise ConfigError(f"output_head must be linear or nonlinear, got {self.output_head!r}")
         if self.k_sparse is not None and self.k_sparse < 1:
             raise ConfigError("k_sparse must be >= 1")
+        if self.k_sparse is not None and self.attention_mode == "dense":
+            raise ConfigError("k_sparse applies only to attention_mode = sparse")
 
     @classmethod
     def desk_scale(cls, **overrides):
@@ -224,9 +226,9 @@ class TransformerModel:
                           self.config.effective_k(k.data.shape[-2]), causal)
 
     def embed_encoder(self, window) -> Tensor:
-        """Window rows @ W plus their positional rows, which broadcast over
-        a batch."""
-        x = window if isinstance(window, Tensor) else Tensor(window)
+        """Window rows (an array) @ W plus their positional rows, which
+        broadcast over a batch."""
+        x = Tensor(window)
         if x.data.ndim not in (2, 3) or x.data.shape[-1] != len(FEATURE_COLUMNS):
             raise ShapeError(f"window shape {x.data.shape}: need L x "
                              f"{len(FEATURE_COLUMNS)} features, optionally batched")
@@ -234,11 +236,11 @@ class TransformerModel:
         return self._linear("enc_embed", x, Tensor(pe))
 
     def embed_decoder(self, decoder_in) -> Tensor:
-        """H x 1 or B x H x 1 target values to embedded rows, handed to
+        """H x 1 or B x H x 1 target values (an array) to embedded rows, handed to
         decoder_forward time-major: H x d, or H x B x d for a batch (a view).
         The leading axis is then one window's decoder rows, which is what
         perfbench's tracer counts as decoder rows per encoded window."""
-        y = decoder_in if isinstance(decoder_in, Tensor) else Tensor(decoder_in)
+        y = Tensor(decoder_in)
         if y.data.ndim not in (2, 3) or y.data.shape[-1] != 1:
             raise ShapeError(f"decoder input must be Hx1 or BxHx1, got {y.data.shape}")
         pe = positions(y.data.shape[-2], self.config.d_model)

@@ -57,10 +57,6 @@ class Tensor:
         self._backward_fn = None
         self._backward_done = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 def all_finite(arr) -> bool:
     """Whether every element of arr is finite. A finite sum of squares, one
@@ -393,22 +389,19 @@ def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
     return _make(w, (scores,), bwd, "masked_softmax")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None = None,
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """Normalize each row of x (of x + residual, when given) over the last
-    axis to zero mean / unit variance (population variance), then apply the
-    gamma/beta affine. x and residual get the same gradient."""
+    """Normalize each row of x + residual over the last axis to zero mean /
+    unit variance (population variance), then apply the gamma/beta affine.
+    x and residual get the same gradient."""
     d = x.data.shape[-1]
     if d == 0:
         raise ShapeError("layer_norm: empty last dimension")
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must have shape ({d},)")
-    if residual is None:
-        inp, parents = x.data, (x, gamma, beta)
-    else:
-        if residual.data.shape != x.data.shape:
-            raise ShapeError(f"layer_norm: residual {residual.data.shape} vs {x.data.shape}")
-        inp, parents = x.data + residual.data, (x, gamma, beta, residual)
+    if residual.data.shape != x.data.shape:
+        raise ShapeError(f"layer_norm: residual {residual.data.shape} vs {x.data.shape}")
+    inp = x.data + residual.data
     # np.mean's and np.var's sums and divisions with the row centred once,
     # so mean, variance and x-hat equal theirs bit for bit; x-hat and the
     # output are finished in place
@@ -426,7 +419,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None =
         axes = tuple(range(g.ndim - 1))
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes), dx
 
-    return _make(out, parents, bwd, "layer_norm")
+    return _make(out, (x, gamma, beta, residual), bwd, "layer_norm")
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

@@ -175,20 +175,20 @@ def _sub_batches(indices, size):
     return np.array_split(indices, -(-len(indices) // size))
 
 
-def _batch(samples, idx, target_index):
+def _batch(samples, idx):
     """Stacked windows, teacher-forced decoder inputs and B x H x 1 targets."""
     w, tgt = samples.windows[idx], samples.targets[idx]
-    return w, teacher_forced_input(w, tgt, target_index), tgt[..., None]
+    return w, teacher_forced_input(w, tgt, TARGET_INDEX), tgt[..., None]
 
 
-def _split_loss(model, samples, target_index) -> float:
+def _split_loss(model, samples) -> float:
     """Mean teacher-forced MSE over a split's windows, in chunks of
     forward_batch_size windows; records no tape."""
     total = 0.0
     with no_grad():
         for idx in _sub_batches(np.arange(len(samples.windows)),
                                 forward_batch_size(model.config)):
-            w, dec_in, tgt = _batch(samples, idx, target_index)
+            w, dec_in, tgt = _batch(samples, idx)
             out = model.forward(w, dec_in).data
             total += float(((out - tgt) ** 2).mean(axis=(1, 2)).sum())
     return total / len(samples.windows)
@@ -211,8 +211,8 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
     val = dataset.split("val")
     if len(train.windows) == 0 or len(val.windows) == 0:
         raise ConfigError("fit requires non-empty train and val splits")
-    if dataset.horizon != model.config.horizon:
-        raise ConfigError(f"dataset horizon {dataset.horizon} != model horizon "
+    if train.targets.shape[1] != model.config.horizon:
+        raise ConfigError(f"dataset horizon {train.targets.shape[1]} != model horizon "
                           f"{model.config.horizon}")
 
     rng = np.random.default_rng(cfg.seed)
@@ -231,7 +231,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                 optimizer.grad.fill(0.0)
                 for idx in _sub_batches(batch, sub):
                     try:
-                        w, dec_in, tgt = _batch(train, idx, TARGET_INDEX)
+                        w, dec_in, tgt = _batch(train, idx)
                         # mean over the sub-batch, weighted to a mean over the batch
                         loss = mse(model.forward(w, dec_in), Tensor(tgt))
                         backward(scale(loss, len(idx) / len(batch)))
@@ -240,7 +240,7 @@ def fit(model: TransformerModel, dataset: WindowedDataset,
                     epoch_loss += float(loss.data) * len(idx)
                 optimizer.step(cfg.learning_rate)
             train_loss = epoch_loss / n
-            val_loss = _split_loss(model, val, TARGET_INDEX)
+            val_loss = _split_loss(model, val)
             if not np.isfinite(train_loss) or not np.isfinite(val_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}: "
                                    f"train={train_loss}, val={val_loss}")

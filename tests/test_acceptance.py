@@ -71,10 +71,10 @@ def test_criterion_01_gradient_integrity():
                        Tensor(np.zeros((4, 3)))),
         [rng.standard_normal((4, 3)) * 2 for _ in range(3)]))
     g, bt = np.ones(6), np.zeros(6)
-    x = rng.standard_normal((3, 6))
+    x, residual = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
     op_reports.append(grad_check(
-        lambda ts: mse(layer_norm(ts[0], ts[1], ts[2]), Tensor(np.zeros((3, 6)))),
-        [x, g, bt]))
+        lambda ts: mse(layer_norm(*ts), Tensor(np.zeros((3, 6)))),
+        [x, g, bt, residual]))
     # the model's FFN (relu) and nonlinear-head (tanh) op
     for act in ("tanh", "relu"):
         op_reports.append(grad_check(
@@ -279,8 +279,7 @@ def test_criterion_07_end_to_end_learning(learning_run):
 def test_criterion_08_loss_curve_shape(learning_run):
     curve = learning_run["curve"]
     val = [va for _, va in curve.epochs]
-    restored = _split_loss(learning_run["model"],
-                           learning_run["dataset"].split("val"), D.TARGET_INDEX)
+    restored = _split_loss(learning_run["model"], learning_run["dataset"].split("val"))
     _verdict(8, "loss-curve shape",
              val[-1] < val[0]
              and curve.best_epoch == int(np.argmin(val))

@@ -22,6 +22,11 @@ from hydroformer.training import TrainConfig
 
 from _memory import traced
 
+try:
+    import resource
+except ImportError:     # not on every platform
+    resource = None
+
 
 TINY_CONFIG = """
 # desk-size run for fast tests
@@ -92,7 +97,8 @@ class TestConfigParsing:
             cli.parse_config_text(f"seed = 1\n{line}")
 
     @pytest.mark.parametrize("text", ["seed = -1", "train.learning_rate = nan",
-                                      "train.learning_rate = inf", "train.batch_size = 0"])
+                                      "train.learning_rate = inf", "train.batch_size = 0",
+                                      "model.attention_mode = dense\nmodel.k_sparse = 3"])
     def test_unusable_values_rejected(self, text):
         with pytest.raises(ConfigError):
             cli.build_run_config(cli.parse_config_text(text))
@@ -220,12 +226,13 @@ def _resize_ffn(header, d_ffn):
     (lambda h: h["config"].update(d_ffn=10**12), bytes),
     (lambda h: _resize_ffn(h, 10**12), bytes),
     (lambda h: h["config"].update(n_encoder_layers=10**6), bytes),
+    (lambda h: h["config"].update(attention_mode="dense", k_sparse=3), bytes),
 ], ids=["unknown_config_key", "missing_config_key", "bad_config_value",
         "bad_config_type", "bool_config_value", "missing_config", "missing_params",
         "missing_normalizer", "null_normalizer", "trailing_bytes", "normalizer_length", "v1_header", "v2_header",
         "nan_first_param", "inf_last_param", "inf_normalizer_std", "nan_normalizer_mean",
         "negative_normalizer_std", "zero_normalizer_std", "huge_d_model", "huge_d_ffn",
-        "huge_config_and_manifest", "huge_layer_count"])
+        "huge_config_and_manifest", "huge_layer_count", "dense_k_sparse"])
 def test_malformed_checkpoint_is_data_error(trained_run, tmp_path, capsys, corrupt, edit_body):
     header_line, _, body = trained_run["checkpoint"].read_bytes().partition(b"\n")
     header = json.loads(header_line)
@@ -678,8 +685,38 @@ def test_train_refuses_a_model_it_cannot_allocate_before_out(trained_run, tmp_pa
                        encoding="utf-8")
     rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
     assert rc == cli.EXIT_CONFIG
-    _assert_one_line_error(capsys, "config error: cannot build the model")
+    _assert_one_line_error(capsys, "out of memory")
     assert not (tmp_path / "run").exists()
+
+
+def _subprocess_env(**extra):
+    """os.environ plus extra, with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    src = str(Path(hydroformer.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs resource.RLIMIT_AS")
+def test_train_out_of_memory_exits_2_with_one_line(trained_run, tmp_path):
+    """train on a 352 MiB-parameter model in a process capped at 1.2 GiB of
+    address space: the parameters fit, fit's state does not. One stderr
+    line, exit 2, no traceback."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY_CONFIG.replace("data.csv", str(trained_run["data"]))
+                       .replace("model.d_model = 8", "model.d_model = 1024")
+                       .replace("model.d_ffn = 16", "model.d_ffn = 4096"),
+                       encoding="utf-8")
+    limit = int(1.2 * (1 << 30))
+    run = subprocess.run([sys.executable, "-m", "hydroformer", "train", "--config",
+                          str(cfgfile), "--out", str(tmp_path / "run")],
+                         env=_subprocess_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                         text=True, timeout=120,
+                         # the limit holds in the child alone
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert run.returncode == cli.EXIT_CONFIG, run.stderr
+    assert run.stderr.count("\n") == 1 and run.stderr.startswith("out of memory:"), run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def _sparse_file(path, head, size):
@@ -790,9 +827,7 @@ def test_out_that_cannot_be_made_exits_2(trained_run, tmp_path, capsys, monkeypa
 
 
 def test_python_m_runs_the_cli(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(hydroformer.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _subprocess_env()
 
     def run(*args):
         return subprocess.run([sys.executable, "-m", "hydroformer", *args], env=env,

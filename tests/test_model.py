@@ -34,6 +34,11 @@ def tiny_config(**kw):
     return ModelConfig(**base)
 
 
+def no_residual(x):
+    """A constant zero residual, for a layer norm of x alone."""
+    return Tensor(np.zeros_like(x.data))
+
+
 def rand_window(rng, cfg):
     return rng.standard_normal((cfg.lookback, N_FEATURES))
 
@@ -63,6 +68,12 @@ class TestModelConfig:
             ModelConfig(horizon=0)
         with pytest.raises(ConfigError):
             ModelConfig(attention_mode="fancy")
+
+    def test_dense_model_refuses_k_sparse(self):
+        """A dense model would drop the k silently."""
+        with pytest.raises(ConfigError, match="k_sparse applies only to attention_mode = sparse"):
+            ModelConfig(attention_mode="dense", k_sparse=3)
+        assert ModelConfig(attention_mode="sparse", k_sparse=3).effective_k(30) == 3
 
 
 class TestPositionalEncoding:
@@ -144,9 +155,13 @@ class TestEncoder:
         p = model.params
         wq, wk, wv, wo = (p[f"enc.0.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
         attn = multi_head(x_emb, matmul(x_emb, wk), matmul(x_emb, wv), (wq, wo), 1)
-        h = layer_norm(add(x_emb, attn), p["enc.0.ln1.gamma"], p["enc.0.ln1.beta"])
-        ffn = model._mlp("enc.0.ffn", h, "relu")
-        expect = layer_norm(add(h, ffn), p["enc.0.ln2.gamma"], p["enc.0.ln2.beta"])
+
+        def ln(name, x):
+            return layer_norm(x, p[f"enc.0.{name}.gamma"], p[f"enc.0.{name}.beta"],
+                              no_residual(x))
+
+        h = ln("ln1", add(x_emb, attn))
+        expect = ln("ln2", add(h, model._mlp("enc.0.ffn", h, "relu")))
         assert np.max(np.abs(out.data - expect.data)) <= 1e-12
 
 
@@ -198,7 +213,8 @@ class TestDecoder:
                                   causal)
 
             def ln(name, x):
-                return layer_norm(x, p[f"dec.{i}.{name}.gamma"], p[f"dec.{i}.{name}.beta"])
+                return layer_norm(x, p[f"dec.{i}.{name}.gamma"], p[f"dec.{i}.{name}.beta"],
+                                  no_residual(x))
 
             attn = attention("self_attn", y, y, cfg.effective_k(5), causal=True)
             y = ln("ln1", add(y, attn))

@@ -24,6 +24,12 @@ def t(data, grad=True):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=grad)
 
 
+def no_residual(x):
+    """A constant zero residual, for a layer norm of x alone: x + 0.0 is x
+    bit for bit, and a constant gets no gradient."""
+    return Tensor(np.zeros_like(x.data))
+
+
 class TestMatmul:
     def test_identity(self):
         eye = np.eye(2)
@@ -155,22 +161,26 @@ class TestMaskedSoftmax:
 
 class TestLayerNorm:
     def test_constant_row_collapses_to_zero(self):
-        out = layer_norm(t([[4.0, 4.0, 4.0]]), t(np.ones(3)), t(np.zeros(3)))
+        x = t([[4.0, 4.0, 4.0]])
+        out = layer_norm(x, t(np.ones(3)), t(np.zeros(3)), no_residual(x))
         assert np.allclose(out.data, 0.0, atol=1e-12)
 
     def test_hand_normalization(self):
-        out = layer_norm(t([[1.0, 3.0]]), t(np.ones(2)), t(np.zeros(2)), eps=1e-15)
+        x = t([[1.0, 3.0]])
+        out = layer_norm(x, t(np.ones(2)), t(np.zeros(2)), no_residual(x), eps=1e-15)
         assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
 
     def test_affine_collapse(self):
         beta = np.array([7.0, 7.0, 7.0])
-        out = layer_norm(t([[1.0, 5.0, 2.0]]), t(np.zeros(3)), t(beta))
+        x = t([[1.0, 5.0, 2.0]])
+        out = layer_norm(x, t(np.zeros(3)), t(beta), no_residual(x))
         assert np.array_equal(out.data, [beta])
 
     def test_mean_and_variance(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-2, 2, (4, 8))
-        out = layer_norm(t(x), t(np.ones(8)), t(np.zeros(8)), eps=1e-12).data
+        xt = t(x)
+        out = layer_norm(xt, t(np.ones(8)), t(np.zeros(8)), no_residual(xt), eps=1e-12).data
         assert np.all(np.abs(out.mean(axis=1)) < 1e-10)
         assert np.allclose(out.var(axis=1), 1.0, atol=1e-6)
 
@@ -182,7 +192,8 @@ class TestLayerNorm:
         coef = rng.uniform(-1, 1, (3, 5))
 
         def fn(ts):
-            return tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2]), Tensor(coef)))
+            return tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2], no_residual(ts[0])),
+                                  Tensor(coef)))
 
         assert grad_check(fn, [x, g, b]).ok(1e-4)
 
@@ -320,9 +331,10 @@ def _build_dag(plan, seed):
         elif kind == "activation":
             out, used = activation(a, ACTIVATIONS[k % len(ACTIVATIONS)]), {i}
         elif kind == "layer_norm":
-            residual = b if k % 2 else None
-            out = layer_norm(a, gamma, beta, residual)
-            used = {i} if residual is None else {i, j}
+            if k % 2:
+                out, used = layer_norm(a, gamma, beta, b), {i, j}
+            else:
+                out, used = layer_norm(a, gamma, beta, no_residual(a)), {i}
         else:
             out, used = {"add": add, "mul": mul, "matmul": matmul}[kind](a, b), {i, j}
         for u in used:
@@ -384,7 +396,8 @@ class TestNoGrad:
         w, g, b = t(rng.uniform(-1, 1, (6, 6))), t(np.ones(6)), t(np.zeros(6))
         mixed = attention_core(matmul(x, w), x, x, 2, 0.5, None, 3)
         hidden = mlp(mixed, w, b, w, b, "relu")
-        return layer_norm(activation(hidden, "tanh"), g, b)
+        act = activation(hidden, "tanh")
+        return layer_norm(act, g, b, no_residual(act))
 
     def test_outputs_equal_taped_bit_for_bit_and_carry_no_parents(self):
         taped = self._graph(np.random.default_rng(0))
@@ -513,7 +526,8 @@ class TestBatched:
         x = rng.uniform(-2, 2, (2, 3, 5))
         g, b = rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5)
         coef = rng.uniform(-1, 1, (2, 3, 5))
-        fn = lambda ts: tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2]), Tensor(coef)))
+        fn = lambda ts: tensor_sum(mul(layer_norm(ts[0], ts[1], ts[2], no_residual(ts[0])),
+                                       Tensor(coef)))
         assert grad_check(fn, [x, g, b]).ok(1e-4)
 
 
@@ -551,7 +565,7 @@ def _fused_cases(rng, lead):
         ("linear_table", [x, w, table], lambda a: linear(*a),
          lambda a: add_bias(matmul(a[0], a[1]), a[2])),
         ("layer_norm_residual", [x, g, b, r], lambda a: layer_norm(*a),
-         lambda a: layer_norm(add(a[0], a[3]), a[1], a[2])),
+         lambda a: layer_norm(add(a[0], a[3]), a[1], a[2], no_residual(a[0]))),
         ("head_scores_scaled", [x, k], lambda a: head_scores(a[0], a[1], 2, 0.37),
          lambda a: scale(head_scores(a[0], a[1], 2), 0.37)),
     ]
@@ -562,6 +576,19 @@ def _value_and_grads(op, arrays, coef):
     out = op(leaves)
     backward(tensor_sum(mul(out, Tensor(coef))))
     return out.data, [leaf.grad for leaf in leaves]
+
+
+@st.composite
+def _plain_numpy_cases(draw):
+    """(n_heads, Lq, Lk, query/key head width, value head width, k_sparse,
+    mask) for attention_core: 1-3 heads, 1-6 query and key rows, k None or
+    1 to Lk + 1, and no mask, a random one or a causal self-attention mask,
+    whose q, k and v are one array (Lq = Lk, equal head widths)."""
+    mask = draw(st.sampled_from(["none", "causal", "random"]))
+    lq, dq = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    lk, dv = (lq, dq) if mask == "causal" else (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    return (draw(st.integers(1, 3)), lq, lk, dq, dv, draw(st.none() | st.integers(1, lk + 1)),
+            mask)
 
 
 class TestFused:
@@ -578,42 +605,58 @@ class TestFused:
         rng = np.random.default_rng(seed)
         for name, arrays, fused, composed in _fused_cases(rng, lead):
             with no_grad():
-                coef = rng.uniform(-1, 1, fused([Tensor(a) for a in arrays]).shape)
+                coef = rng.uniform(-1, 1, fused([Tensor(a) for a in arrays]).data.shape)
             f_out, f_grads = _value_and_grads(fused, arrays, coef)
             c_out, c_grads = _value_and_grads(composed, arrays, coef)
             assert np.array_equal(f_out, c_out), name
             for fg, cg in zip(f_grads, c_grads):
                 assert np.array_equal(fg, cg), name
 
-    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
-    def test_attention_core_and_mlp_match_plain_numpy(self, lead):
+    @settings(max_examples=200, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2).map(tuple), case=_plain_numpy_cases(),
+           tied=st.booleans(), seed=st.integers(0, 2**16))
+    @example(lead=(), case=(1, 3, 5, 6, 6, None, "none"), tied=False, seed=47)
+    @example(lead=(2,), case=(2, 3, 3, 3, 3, 2, "causal"), tied=False, seed=48)
+    @example(lead=(2, 3), case=(2, 3, 5, 3, 3, 2, "random"), tied=True, seed=49)
+    def test_attention_core_and_mlp_match_plain_numpy(self, lead, case, tied, seed):
         """attention_core and mlp against references that share no code with
-        them, in the output and every gradient, on _fused_cases' shapes."""
-        rng = np.random.default_rng(47 + len(lead))
-        x = rng.uniform(-2, 2, lead + (3, 6))
-        k, v = rng.uniform(-1, 1, lead + (5, 6)), rng.uniform(-1, 1, lead + (5, 6))
-        w1, b1 = rng.uniform(-1, 1, (6, 5)), rng.uniform(-1, 1, 5)
-        w2 = rng.uniform(-1, 1, (5, 4))
-        g_att, g_mlp = rng.uniform(-1, 1, lead + (3, 6)), rng.uniform(-1, 1, lead + (3, 4))
+        them, in the output and every gradient. tied draws q and k from small
+        integers, so scores tie exactly at the top-k threshold; the causal
+        case is self-attention with q, k and v one leaf, whose gradient is
+        the sum of the three."""
+        n_heads, lq, lk, dq, dv, k_sparse, mask = case
+        rng = np.random.default_rng(seed)
+        if tied:
+            x = rng.integers(-2, 3, lead + (lq, n_heads * dq)).astype(np.float64)
+            k = rng.integers(-2, 3, lead + (lk, n_heads * dq)).astype(np.float64)
+        else:
+            x = rng.uniform(-2, 2, lead + (lq, n_heads * dq))
+            k = rng.uniform(-1, 1, lead + (lk, n_heads * dq))
+        v = rng.uniform(-1, 1, lead + (lk, n_heads * dv))
+        allowed = None
+        if mask == "causal":
+            allowed = np.tile(np.tril(np.ones((lq, lq), bool)), (n_heads, 1))
+        elif mask == "random":
+            allowed = rng.random((n_heads * lq, lk)) < 0.5
+            allowed[np.arange(n_heads * lq), rng.integers(0, lk, n_heads * lq)] = True
+        args = (n_heads, 0.37, allowed, k_sparse)
+        g_att = rng.uniform(-1, 1, lead + (lq, n_heads * dv))
         cases = []  # (leaf arrays, output gradient, fused op, reference output and grads)
-        for n_heads in (1, 2):
-            causal = np.tile(np.tril(np.ones((3, 3), bool)), (n_heads, 1))
-            for k_sparse in (None, 2):
-                args = (n_heads, 0.37, None, k_sparse)
-                cases.append(([x, k, v], g_att, lambda a, args=args: attention_core(*a, *args),
-                              ref_attention_core_and_grads(x, k, v, *args, g_att)))
-                # causal self-attention with q, k and v one leaf, whose
-                # gradient is the sum of the three
-                args = (n_heads, 0.37, causal, k_sparse)
-                out, grads = ref_attention_core_and_grads(x, x, x, *args, g_att)
-                cases.append(([x], g_att,
-                              lambda a, args=args: attention_core(a[0], a[0], a[0], *args),
-                              (out, [sum(grads)])))
+        if mask == "causal":
+            out, grads = ref_attention_core_and_grads(x, x, x, *args, g_att)
+            cases.append(([x], g_att, lambda a: attention_core(a[0], a[0], a[0], *args),
+                          (out, [sum(grads)])))
+        else:
+            cases.append(([x, k, v], g_att, lambda a: attention_core(*a, *args),
+                          ref_attention_core_and_grads(x, k, v, *args, g_att)))
+        # mlp on x, with Lk hidden units and v's width out
+        w1, b1 = rng.uniform(-1, 1, (n_heads * dq, lk)), rng.uniform(-1, 1, lk)
+        w2 = rng.uniform(-1, 1, (lk, n_heads * dv))
         for kind in ACTIVATIONS:
-            for b2 in (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (3, 4))):
+            for b2 in (rng.uniform(-1, 1, n_heads * dv), rng.uniform(-1, 1, (lq, n_heads * dv))):
                 arrays = [x, w1, b1, w2, b2]
-                cases.append((arrays, g_mlp, lambda a, kind=kind: mlp(*a, kind),
-                              ref_mlp_and_grads(*arrays, kind, g_mlp)))
+                cases.append((arrays, g_att, lambda a, kind=kind: mlp(*a, kind),
+                              ref_mlp_and_grads(*arrays, kind, g_att)))
         for i, (arrays, g, fused, (ref_out, ref_grads)) in enumerate(cases):
             out, grads = _value_and_grads(fused, arrays, g)
             assert np.allclose(out, ref_out, rtol=0, atol=1e-12), i
@@ -656,7 +699,9 @@ class TestFused:
         x = np.random.default_rng(44).uniform(-3, 3, (4, 7, 9))
         mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
         expect = (x - mu) * (1.0 / np.sqrt(var + 1e-5))
-        assert np.array_equal(layer_norm(t(x), t(np.ones(9)), t(np.zeros(9))).data, expect)
+        xt = t(x)
+        out = layer_norm(xt, t(np.ones(9)), t(np.zeros(9)), no_residual(xt))
+        assert np.array_equal(out.data, expect)
 
     @pytest.mark.parametrize("d", [3, 5, 7, 32])
     def test_layer_norm_grad_equals_np_mean_formula_bit_for_bit(self, d):
@@ -664,7 +709,8 @@ class TestFused:
         x, coef = rng.uniform(-3, 3, (2, 4, d)), rng.uniform(-1, 1, (2, 4, d))
         gamma = rng.uniform(0.5, 1.5, d)
         leaf = t(x)
-        backward(tensor_sum(mul(layer_norm(leaf, t(gamma), t(np.zeros(d))), Tensor(coef))))
+        out = layer_norm(leaf, t(gamma), t(np.zeros(d)), no_residual(leaf))
+        backward(tensor_sum(mul(out, Tensor(coef))))
         assert np.array_equal(leaf.grad, ref_layer_norm_backward(x, gamma, coef))
 
     def test_attention_core_rejects_what_the_chain_rejects(self):

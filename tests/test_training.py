@@ -203,7 +203,7 @@ def scripted_fit(monkeypatch, val_losses, patience, max_epochs=20):
     seen = []
     script = iter(val_losses)
 
-    def scripted(model, samples, target_index):
+    def scripted(model, samples):
         seen.append(model.flat.copy())
         return next(script)
 
@@ -302,7 +302,7 @@ class TestSubBatches:
                                  cfg.horizon).split("train")
 
         def graph():
-            w, dec_in, tgt = _batch(samples, np.arange(b), D.TARGET_INDEX)
+            w, dec_in, tgt = _batch(samples, np.arange(b))
             return mse(model.forward(w, dec_in), Tensor(tgt))
 
         _, live, _ = traced(graph)
@@ -354,7 +354,7 @@ class TestFit:
         curve = fit(model, ds, cfg)
         val_losses = [va for _, va in curve.epochs]
         assert curve.best_epoch == int(np.argmin(val_losses))
-        val_now = _split_loss(model, ds.split("val"), D.TARGET_INDEX)
+        val_now = _split_loss(model, ds.split("val"))
         assert val_now == pytest.approx(min(val_losses), abs=1e-12)
 
     def test_batch_gradient_is_mean_of_per_sample_gradients(self, monkeypatch):
@@ -595,7 +595,7 @@ class TestForwardBatchSize:
         calls = []
         forward = model.forward
         monkeypatch.setattr(model, "forward", lambda w, d: calls.append(len(w)) or forward(w, d))
-        loss = _split_loss(model, val, D.TARGET_INDEX)
+        loss = _split_loss(model, val)
         assert len(calls) == -(-len(val.windows) // 5) and max(calls) == 5
         want = np.mean([np.mean((forward(w, teacher_forced_input(w, t, D.TARGET_INDEX)).data
                                  [:, 0] - t) ** 2) for w, t in zip(val.windows, val.targets)])
