@@ -591,6 +591,58 @@ def _plain_numpy_cases(draw):
             mask)
 
 
+# leading shape -> (_plain_numpy_cases case, tied, seed)
+_PLAIN_NUMPY_EXAMPLES = {(): ((1, 3, 5, 6, 6, None, "none"), False, 47),
+                         (2,): ((2, 3, 3, 3, 3, 2, "causal"), False, 48),
+                         (2, 3): ((2, 3, 5, 3, 3, 2, "random"), True, 49)}
+
+
+def _check_against_plain_numpy(lead, case, tied, seed):
+    """attention_core and mlp against references that share no code with
+    them, in the output and every gradient. tied draws q and k from small
+    integers, so scores tie exactly at the top-k threshold; the causal case
+    is self-attention with q, k and v one leaf, whose gradient is the sum of
+    the three."""
+    n_heads, lq, lk, dq, dv, k_sparse, mask = case
+    rng = np.random.default_rng(seed)
+    if tied:
+        x = rng.integers(-2, 3, lead + (lq, n_heads * dq)).astype(np.float64)
+        k = rng.integers(-2, 3, lead + (lk, n_heads * dq)).astype(np.float64)
+    else:
+        x = rng.uniform(-2, 2, lead + (lq, n_heads * dq))
+        k = rng.uniform(-1, 1, lead + (lk, n_heads * dq))
+    v = rng.uniform(-1, 1, lead + (lk, n_heads * dv))
+    allowed = None
+    if mask == "causal":
+        allowed = np.tile(np.tril(np.ones((lq, lq), bool)), (n_heads, 1))
+    elif mask == "random":
+        allowed = rng.random((n_heads * lq, lk)) < 0.5
+        allowed[np.arange(n_heads * lq), rng.integers(0, lk, n_heads * lq)] = True
+    args = (n_heads, 0.37, allowed, k_sparse)
+    g_att = rng.uniform(-1, 1, lead + (lq, n_heads * dv))
+    cases = []  # (leaf arrays, output gradient, fused op, reference output and grads)
+    if mask == "causal":
+        out, grads = ref_attention_core_and_grads(x, x, x, *args, g_att)
+        cases.append(([x], g_att, lambda a: attention_core(a[0], a[0], a[0], *args),
+                      (out, [sum(grads)])))
+    else:
+        cases.append(([x, k, v], g_att, lambda a: attention_core(*a, *args),
+                      ref_attention_core_and_grads(x, k, v, *args, g_att)))
+    # mlp on x, with Lk hidden units and v's width out
+    w1, b1 = rng.uniform(-1, 1, (n_heads * dq, lk)), rng.uniform(-1, 1, lk)
+    w2 = rng.uniform(-1, 1, (lk, n_heads * dv))
+    for kind in ACTIVATIONS:
+        for b2 in (rng.uniform(-1, 1, n_heads * dv), rng.uniform(-1, 1, (lq, n_heads * dv))):
+            arrays = [x, w1, b1, w2, b2]
+            cases.append((arrays, g_att, lambda a, kind=kind: mlp(*a, kind),
+                          ref_mlp_and_grads(*arrays, kind, g_att)))
+    for i, (arrays, g, fused, (ref_out, ref_grads)) in enumerate(cases):
+        out, grads = _value_and_grads(fused, arrays, g)
+        assert np.allclose(out, ref_out, rtol=0, atol=1e-12), i
+        for grad, ref_grad in zip(grads, ref_grads, strict=True):
+            assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12), i
+
+
 class TestFused:
     """linear, layer_norm with a residual, head_scores with a scale c,
     attention_core and mlp are single ops for matmul -> add_bias, add ->
@@ -612,56 +664,18 @@ class TestFused:
             for fg, cg in zip(f_grads, c_grads):
                 assert np.array_equal(fg, cg), name
 
+    @pytest.mark.parametrize("lead", list(_PLAIN_NUMPY_EXAMPLES))
+    def test_attention_core_and_mlp_match_plain_numpy(self, lead):
+        """The plain-numpy check on one pinned case per leading shape: no
+        mask, a causal mask and a random mask with tied scores."""
+        _check_against_plain_numpy(lead, *_PLAIN_NUMPY_EXAMPLES[lead])
+
     @settings(max_examples=200, deadline=None)
     @given(lead=st.lists(st.integers(1, 3), max_size=2).map(tuple), case=_plain_numpy_cases(),
            tied=st.booleans(), seed=st.integers(0, 2**16))
-    @example(lead=(), case=(1, 3, 5, 6, 6, None, "none"), tied=False, seed=47)
-    @example(lead=(2,), case=(2, 3, 3, 3, 3, 2, "causal"), tied=False, seed=48)
-    @example(lead=(2, 3), case=(2, 3, 5, 3, 3, 2, "random"), tied=True, seed=49)
-    def test_attention_core_and_mlp_match_plain_numpy(self, lead, case, tied, seed):
-        """attention_core and mlp against references that share no code with
-        them, in the output and every gradient. tied draws q and k from small
-        integers, so scores tie exactly at the top-k threshold; the causal
-        case is self-attention with q, k and v one leaf, whose gradient is
-        the sum of the three."""
-        n_heads, lq, lk, dq, dv, k_sparse, mask = case
-        rng = np.random.default_rng(seed)
-        if tied:
-            x = rng.integers(-2, 3, lead + (lq, n_heads * dq)).astype(np.float64)
-            k = rng.integers(-2, 3, lead + (lk, n_heads * dq)).astype(np.float64)
-        else:
-            x = rng.uniform(-2, 2, lead + (lq, n_heads * dq))
-            k = rng.uniform(-1, 1, lead + (lk, n_heads * dq))
-        v = rng.uniform(-1, 1, lead + (lk, n_heads * dv))
-        allowed = None
-        if mask == "causal":
-            allowed = np.tile(np.tril(np.ones((lq, lq), bool)), (n_heads, 1))
-        elif mask == "random":
-            allowed = rng.random((n_heads * lq, lk)) < 0.5
-            allowed[np.arange(n_heads * lq), rng.integers(0, lk, n_heads * lq)] = True
-        args = (n_heads, 0.37, allowed, k_sparse)
-        g_att = rng.uniform(-1, 1, lead + (lq, n_heads * dv))
-        cases = []  # (leaf arrays, output gradient, fused op, reference output and grads)
-        if mask == "causal":
-            out, grads = ref_attention_core_and_grads(x, x, x, *args, g_att)
-            cases.append(([x], g_att, lambda a: attention_core(a[0], a[0], a[0], *args),
-                          (out, [sum(grads)])))
-        else:
-            cases.append(([x, k, v], g_att, lambda a: attention_core(*a, *args),
-                          ref_attention_core_and_grads(x, k, v, *args, g_att)))
-        # mlp on x, with Lk hidden units and v's width out
-        w1, b1 = rng.uniform(-1, 1, (n_heads * dq, lk)), rng.uniform(-1, 1, lk)
-        w2 = rng.uniform(-1, 1, (lk, n_heads * dv))
-        for kind in ACTIVATIONS:
-            for b2 in (rng.uniform(-1, 1, n_heads * dv), rng.uniform(-1, 1, (lq, n_heads * dv))):
-                arrays = [x, w1, b1, w2, b2]
-                cases.append((arrays, g_att, lambda a, kind=kind: mlp(*a, kind),
-                              ref_mlp_and_grads(*arrays, kind, g_att)))
-        for i, (arrays, g, fused, (ref_out, ref_grads)) in enumerate(cases):
-            out, grads = _value_and_grads(fused, arrays, g)
-            assert np.allclose(out, ref_out, rtol=0, atol=1e-12), i
-            for grad, ref_grad in zip(grads, ref_grads, strict=True):
-                assert np.allclose(grad, ref_grad, rtol=0, atol=1e-12), i
+    def test_attention_core_and_mlp_match_plain_numpy_on_drawn_cases(self, lead, case, tied,
+                                                                     seed):
+        _check_against_plain_numpy(lead, case, tied, seed)
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("bias_shape", [(4,), (3, 4)])
