@@ -4,6 +4,7 @@ normalization, and the synthetic stand-in generator used for verification."""
 import csv
 import datetime
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,8 @@ def _cell_values(path, lineno, cells) -> list:
 
 def load_table(path) -> RawSeries:
     """Parse the delimited input format: header `date,<19 feature names>`,
-    daily ISO dates, empty field = missing, every other field a finite number."""
+    daily ISO dates, empty field = missing, every other field a finite number.
+    The values are held once, as each row's floats appended to one buffer."""
     expected = ["date"] + list(FEATURE_COLUMNS)
     try:
         f = open(path, newline="", encoding="utf-8")
@@ -81,7 +83,7 @@ def load_table(path) -> RawSeries:
             unknown = [c for c in header if c not in expected]
             raise DataError(f"{path}: bad header; missing columns {missing}, "
                             f"unknown columns {unknown}")
-        dates, rows = [], []
+        dates, values = [], array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -104,10 +106,11 @@ def load_table(path) -> RawSeries:
                 raise DataError(f"{path}:{lineno}: date {d} is not the day after {dates[-1]}; "
                                 f"write a missing day as a row of empty fields")
             dates.append(d)
-            rows.append(vals)
-    if not rows:
+            values.fromlist(vals)
+    if not dates:
         raise DataError(f"{path}: no data rows")
-    return RawSeries(dates=dates, values=np.array(rows, dtype=np.float64))
+    return RawSeries(dates=dates,
+                     values=np.frombuffer(values).reshape(-1, len(FEATURE_COLUMNS)))
 
 
 def fill_missing(series: RawSeries):

@@ -327,11 +327,12 @@ class TransformerModel:
         mode a row's top-k depends on k = effective_k(t); when k changes
         (k = ceil(t/4) changes at t = 5, 9, ...), the earlier rows' states
         change, so the step drops the cache and decodes all t rows again.
-        The head runs on the newest row only."""
+        The head runs on the newest row only. numpy's floating-point warnings
+        are off: the ops' finite guard reports every non-finite value."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         window = np.asarray(window, dtype=np.float64)
-        with no_grad():
+        with no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             memory_kv = self.cross_kv(self.encoder_forward(self.embed_encoder(window)))
             dec = window[..., -1:, TARGET_INDEX, None]        # (..., 1, 1) start token
             k = None

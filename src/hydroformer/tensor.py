@@ -167,8 +167,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, kind: str) -> Tensor:
     """linear(x, w1, b1) -> activation(kind) -> linear(., w2, b2) as one op,
-    bit for bit that chain in its output and every gradient. The hidden
-    pre-activation is checked for finite values as well as the output.
+    checked in its output and every gradient against a per-batch-item
+    plain-numpy reference within 1e-12. The hidden pre-activation is checked
+    for finite values as well as the output.
 
     The tape keeps only the pre-activation: backward recomputes the hidden
     activation from it with the same ufuncs, so it equals the forward's."""
@@ -182,8 +183,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, kind: str) ->
         gh, gw2, gb2 = _affine_grads(g, h, h.reshape(-1, w2.data.shape[0]), w2.data, b2.data)
         return (gw2, gb2) + _affine_grads(gh * slope(pre, h), x.data, x2, w1.data, b1.data)
 
-    # parents in the order the chain sent their gradients (the second
-    # linear's first), so an input used twice sums them in the same order
+    # parents in the order the three ops sent their gradients when they ran
+    # apart (the second linear's first), so an input passed twice sums them
+    # in that order; the model passes none twice
     return _make(out, (w2, b2, x, w1, b1), bwd, "mlp")
 
 
@@ -326,9 +328,10 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, c: float = 1.0
     give (..., Lq, d). Mask, top-k and softmax are one kernel call,
     kernels.masked_softmax_forward.
 
-    Bit for bit the chain head_scores -> kernels.topk_keep -> masked_softmax
-    -> head mix, in its output and every gradient. The scores are checked
-    for finite values as well as the output."""
+    Checked in its output and every gradient against a per-batch-item,
+    per-head plain-numpy reference within 1e-12, with ties at the top-k
+    threshold. The scores are checked for finite values as well as the
+    output."""
     c = float(c)
     s, qh, kh = _scores(q.data, k.data, n_heads, c, "attention_core")
     _check_finite(s, "attention scores")
@@ -355,8 +358,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, c: float = 1.0
         return ((_merge_heads(np.matmul(wh.swapaxes(-1, -2), gh)),)
                 + _scores_grads(kernels.masked_softmax_backward(w, gw), qh, kh, c))
 
-    # parents in the order the chain sent their gradients (v's first), so an
-    # input used twice sums them in the same order
+    # parents in the order the ops sent their gradients when scores, softmax
+    # and head mix ran apart (v's first), so an input passed twice sums them
+    # in that order; the model passes none twice
     return _make(_merge_heads(np.matmul(wh, vh)), (v, q, k), bwd, "attention_core")
 
 

@@ -62,11 +62,15 @@ class Adam:
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
         self.grad = np.zeros_like(flat)
-        sizes = [p.data.size for p in params.values()]
-        for p, g in zip(params.values(), np.split(self.grad, np.cumsum(sizes)[:-1])):
+        self.ends = np.cumsum([p.data.size for p in params.values()])
+        for p, g in zip(params.values(), np.split(self.grad, self.ends[:-1])):
             p.grad = g.reshape(p.data.shape)
 
     def step(self, lr: float) -> None:
+        """One update of flat. A non-finite gradient or new weight raises
+        NumericError naming its parameter, before that block of flat is
+        written: the blocks before it keep their update, and flat stays
+        finite."""
         g = self.grad
         if not all_finite(g):
             name = next(n for n, p in self.params.items() if not all_finite(p.grad))
@@ -75,20 +79,26 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.BETA1 ** t
         bc2 = 1.0 - self.BETA2 ** t
-        for i in range(0, g.size, self.BLOCK):
-            b = slice(i, i + self.BLOCK)
-            gb, m, v = g[b], self.m[b], self.v[b]
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * gb
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * gb * gb
-            step = m / bc1              # two temporaries, updated in place
-            step *= lr
-            denom = v / bc2
-            np.sqrt(denom, out=denom)
-            denom += self.EPS
-            step /= denom
-            self.flat[b] -= step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, g.size, self.BLOCK):
+                b = slice(i, i + self.BLOCK)
+                gb, m, v = g[b], self.m[b], self.v[b]
+                m *= self.BETA1
+                m += (1.0 - self.BETA1) * gb
+                v *= self.BETA2
+                v += (1.0 - self.BETA2) * gb * gb
+                step = m / bc1              # two temporaries, updated in place
+                step *= lr
+                denom = v / bc2
+                np.sqrt(denom, out=denom)
+                denom += self.EPS
+                step /= denom
+                np.subtract(self.flat[b], step, out=step)     # the block's new weights
+                if not all_finite(step):
+                    bad = i + int(np.argmin(np.isfinite(step)))     # its first non-finite
+                    name = list(self.params)[np.searchsorted(self.ends, bad, side="right")]
+                    raise NumericError(f"non-finite update for parameter {name}")
+                self.flat[b] = step
 
 
 @dataclass
@@ -194,6 +204,9 @@ def _split_loss(model, samples) -> float:
     return total / len(samples.windows)
 
 
+# numpy's floating-point warnings are off: the finite guard reports every
+# non-finite op output, gradient, update and loss
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(model: TransformerModel, dataset: WindowedDataset,
         cfg: TrainConfig) -> LossCurve:
     """Train in place; returns the loss curve. Every epoch draws a fresh

@@ -3,12 +3,13 @@
 These deliberately avoid the package's tensor/attention code paths: plain
 numpy, no masking kernels, no autograd. ref_attention_core_and_grads and
 ref_mlp_and_grads give the fused ops' outputs and hand-derived gradients
-that way, per batch item and per head. The exceptions are ref_rollout, the
-per-window rollout loop, which drives the model's own forward pieces;
-ref_backward, a second sweep over the package's own tape; and the unfused
-chains that the fused tape ops must equal bit for bit (head_mix,
-ref_attention_core, ref_mlp, ref_layer_norm_backward). The Shapley
-references walk coalitions one at a time through a per-call dict cache.
+that way, per batch item and per head; they are attention_core's and mlp's
+only oracle. The exceptions are ref_rollout, the per-window rollout loop,
+which drives the model's own forward pieces, and ref_backward, a second
+sweep over the package's own tape. ref_layer_norm_backward writes
+layer_norm's gradient with np.mean, which layer_norm must equal bit for
+bit. The Shapley references walk coalitions one at a time through a
+per-call dict cache.
 ref_adam_step updates parameters tensor by tensor, with per-name moments.
 ref_write_table and ref_cell_values are the per-cell CSV writer and row
 parser; ref_glorot_flat draws a model's initial weights with
@@ -20,13 +21,11 @@ import math
 
 import numpy as np
 
-from hydroformer.attention import topk_mask
 from hydroformer.data import FEATURE_COLUMNS, TARGET_INDEX
 from hydroformer.errors import ConfigError, NumericError, ShapeError
 from hydroformer.explain import EXACT_CAP, Explanation
 from hydroformer.model import _layout
-from hydroformer.tensor import (Tensor, _make, _merge_heads, _same_batch, _split_heads,
-                                activation, head_scores, linear, masked_softmax, no_grad)
+from hydroformer.tensor import no_grad
 
 
 def ref_masked_softmax(scores, mask):
@@ -110,39 +109,6 @@ def ref_layer_norm_backward(x, gamma, g, eps=1e-5):
     dxhat = g * gamma
     return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                   - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-
-
-def head_mix(w: Tensor, v: Tensor, n_heads: int) -> Tensor:
-    """Tape op: row block h of w (..., n_heads * Lq, Lk) times column block h
-    of v (..., Lk, d), the products placed side by side: (..., Lq, d)."""
-    if (not _same_batch(w.data, v.data) or w.data.shape[-1] != v.data.shape[-2]
-            or w.data.shape[-2] % n_heads or v.data.shape[-1] % n_heads):
-        raise ShapeError(f"head_mix: shapes {w.data.shape}, {v.data.shape}, {n_heads} heads")
-    wh = w.data.reshape(w.data.shape[:-2] + (n_heads, -1, w.data.shape[-1]))
-    vh = _split_heads(v.data, n_heads)
-
-    def bwd(g):
-        gh = _split_heads(g, n_heads)
-        return (np.matmul(gh, vh.swapaxes(-1, -2)).reshape(w.data.shape),
-                _merge_heads(np.matmul(wh.swapaxes(-1, -2), gh)))
-
-    return _make(_merge_heads(np.matmul(wh, vh)), (w, v), bwd, "head_mix")
-
-
-def ref_attention_core(q, k, v, n_heads, c=1.0, allowed=None, k_sparse=None):
-    """attention_core as the chain of tape ops it fuses: head_scores, the
-    top-k keep mask, masked_softmax and head_mix."""
-    p = head_scores(q, k, n_heads, c)
-    if allowed is None:
-        allowed = np.ones(p.data.shape[-2:], dtype=bool)
-    if k_sparse is not None:
-        allowed = topk_mask(p.data, k_sparse, allowed)
-    return head_mix(masked_softmax(p, allowed), v, n_heads)
-
-
-def ref_mlp(x, w1, b1, w2, b2, kind):
-    """mlp as the chain of tape ops it fuses: linear, activation, linear."""
-    return linear(activation(linear(x, w1, b1), kind), w2, b2)
 
 
 def ref_attention_core_and_grads(q, k, v, n_heads, c, allowed, k_sparse, g):

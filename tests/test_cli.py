@@ -250,13 +250,21 @@ def test_numeric_error_names_the_layer(trained_run, tmp_path, capsys):
     wq.data[...] = 1e308
     huge = tmp_path / "huge.bin"
     save_checkpoint(model, norm, huge)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["predict", "--checkpoint", str(huge), "--data",
-                       str(trained_run["data"])])
+    rc = cli.main(["predict", "--checkpoint", str(huge), "--data", str(trained_run["data"])])
     assert rc == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numeric error: dec.1.cross_attn: ")
     assert "produced non-finite values" in err
+
+
+def test_train_with_overflowing_learning_rate_prints_one_line(trained_run, tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(trained_run["config"].read_text(encoding="utf-8")
+                       .replace("train.learning_rate = 0.001", "train.learning_rate = 1e308"),
+                       encoding="utf-8")
+    rc = cli.main(["train", "--config", str(cfgfile), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_NUMERIC
+    _assert_one_line_error(capsys, "numeric error: non-finite update for parameter ")
 
 
 # the commands that read a data file through a checkpoint, "OUT" standing for
@@ -266,6 +274,22 @@ _DATA_COMMANDS = pytest.mark.parametrize("command, extra", [
     ("evaluate", ["--out", "OUT"]),
     ("explain", ["--global", "--sample", "1", "--permutations", "2", "--out", "OUT"]),
 ], ids=["predict", "evaluate", "explain"])
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("predict", []),
+    ("evaluate", ["--leads", "1", "--out", "OUT"]),
+    ("explain", ["--global", "--sample", "1", "--permutations", "2", "--out", "OUT"]),
+], ids=["predict", "evaluate", "explain"])
+def test_overflowing_checkpoint_prints_one_line(trained_run, tmp_path, capsys, command, extra):
+    model, norm = load_checkpoint(trained_run["checkpoint"])
+    model.flat *= 1e200
+    huge = tmp_path / "huge.bin"
+    save_checkpoint(model, norm, huge)
+    argv = [command, "--checkpoint", str(huge), "--data", str(trained_run["data"])]
+    argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    _assert_one_line_error(capsys, "numeric error: ", "produced non-finite values")
 
 
 @_DATA_COMMANDS
